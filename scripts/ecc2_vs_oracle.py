@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Compare the matching-based eccentricity-2 decision against exhaustive
-search on a random corpus of small connected graphs.
+search on a random corpus of small connected graphs, replaying every
+positive witness as a plan and checking every negative one's barrier.
 
 Usage: python scripts/ecc2_vs_oracle.py [--graphs 2000] [--max-n 7] [--seed 1]
 """
@@ -11,7 +12,7 @@ import sys
 import time
 
 from cupstack.ecc2 import ecc2_decide, plan_from_matching
-from cupstack.graphs import Configuration, Graph, verify_plan
+from cupstack.graphs import Configuration, Graph, verify_barrier, verify_plan
 from cupstack.oracle import oracle_decide
 
 
@@ -51,6 +52,8 @@ def main() -> int:
                 mismatches.append((g.edges(), r, w.decision, truth))
             elif w.decision:
                 assert verify_plan(g, plan_from_matching(g, r, w.matching))
+            else:
+                assert verify_barrier(g, r, w.barrier)
     print(f"{targets} ecc-2 targets across {args.graphs} random graphs "
           f"(n <= {args.max_n}) in {time.time() - t0:.1f}s")
     if mismatches:
@@ -58,7 +61,8 @@ def main() -> int:
         for edges, r, got, want in mismatches[:10]:
             print(f"  edges={edges} r={r} ecc2={got} oracle={want}")
         return 1
-    print("0 mismatches; every positive witness re-verified as a plan")
+    print("0 mismatches; every positive witness re-verified as a plan, "
+          "every negative barrier accepted")
     return 0
 
 

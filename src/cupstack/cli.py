@@ -27,10 +27,16 @@ BUDGET_ENV = "CUPSTACK_ORACLE_BUDGET"
 
 
 def _default_budget() -> int:
-    try:
-        return int(os.environ.get(BUDGET_ENV, oracle_mod.DEFAULT_BUDGET))
-    except ValueError:
+    text = os.environ.get(BUDGET_ENV)
+    if text is None:
         return oracle_mod.DEFAULT_BUDGET
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"{BUDGET_ENV} must be a positive integer, got {text!r}")
+    return budget
 
 
 def _emit(data: dict, pretty: bool) -> None:
@@ -105,6 +111,8 @@ def _cmd_decide(args) -> int:
     elif method == "ecc2":
         w = ecc2_mod.ecc2_decide(g, r)
         out["stackable"] = w.decision
+        if not w.decision:
+            out["barrier"] = list(w.barrier)
     else:
         dec = oracle_mod.oracle_decide(
             g, graphs.Configuration.all_ones(g.n), r, args.budget)
@@ -352,13 +360,11 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return _HANDLERS[args.cmd](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_YES
-    try:
-        return _HANDLERS[args.cmd](args)
     except (ValueError, OSError, json.JSONDecodeError, KeyError,
             IndexError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

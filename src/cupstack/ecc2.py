@@ -1,13 +1,14 @@
 """Polynomial decision for eccentricity-2 targets, and plan extraction.
 
-A target r with eccentricity 2 is reachable by every cup iff the graph
-has a matching saturating the distance-2 shell N_2(r).  The decision
-pipeline builds such a matching from the Gallai-Edmonds structure of
-G - r: a perfect matching on Z, an assignment of A into the
-factor-critical components maximizing how many components that lie
-entirely inside N_2(r) get covered, and near-perfect matchings filling
-each component.  The final verdict is read off the assembled matching,
-never assumed from the intermediate steps.
+A target r with eccentricity 2 is reachable by every cup iff G - r has a
+matching saturating the distance-2 shell N_2(r).  Starting from the
+empty matching, one blossom search from each uncovered s in N_2(r)
+either reaches an exposed vertex (augment) or an outer vertex outside
+N_2(r) (swap: that vertex gives up its mate), and so covers s while
+keeping every covered N_2(r) vertex covered.  A search that gets stuck
+proves the answer is no: its inner vertices X form a barrier, because
+its outer blossoms are |X| + 1 odd components of (G - r) - X that lie
+inside N_2(r), and each needs its own matching edge into X.
 """
 
 from __future__ import annotations
@@ -15,95 +16,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Configuration, Graph, Move, Plan, eccentricity, shells
-from .matching import (BareGraph, GallaiEdmondsPartition, Matching,
-                       gallai_edmonds, hungarian_max_weight, max_matching,
-                       near_perfect_matching)
+from .graphs import Graph, Move, Plan, eccentricity, shells
+from .matching import BareGraph, Matching, augment, blossom_search
 
 
 @dataclass(frozen=True)
 class Ecc2Witness:
     decision: bool
     matching: Optional[Matching]           # saturates N_2(r) iff decision
-    ge: GallaiEdmondsPartition             # structure of G - r (original labels)
-    critical_components: tuple[tuple[int, ...], ...]  # components inside N_2(r)
-    assignment: tuple[tuple[int, int], ...]  # (A vertex, component index) pairs
-
-
-def _component_matchings(host: BareGraph, comp: tuple[int, ...],
-                         avoid: int) -> list[tuple[int, int]]:
-    sub, remap = host.without(set(range(host.n)) - set(comp))
-    inverse = {i: v for v, i in remap.items()}
-    m = near_perfect_matching(sub, remap[avoid])
-    return [(inverse[a], inverse[b]) for a, b in m.edges]
+    barrier: Optional[tuple[int, ...]]     # refutes every such matching iff not decision
 
 
 def ecc2_decide(g: Graph, r: int) -> Ecc2Witness:
     if eccentricity(g, r) != 2:
         raise ValueError(f"target {r} does not have eccentricity 2")
-    sh = shells(g, r)
-    n2 = set(sh[2])
-    # Work on G - r, keeping original vertex labels throughout.
-    host, remap = BareGraph(g.n, g.edges()).without({r})
-    inverse = {i: v for v, i in remap.items()}
-    ge_local = gallai_edmonds(host)
-    comps = tuple(tuple(sorted(inverse[i] for i in comp))
-                  for comp in ge_local.I_components)
-    A = tuple(sorted(inverse[i] for i in ge_local.A))
-    Z = tuple(sorted(inverse[i] for i in ge_local.Z))
-    ge = GallaiEdmondsPartition(tuple(sorted(comps)), A, Z)
-    comps = ge.I_components
-
-    edges: set[tuple[int, int]] = set()
-    # Perfect matching on Z.
-    if Z:
-        subz, remapz = host.without(set(range(host.n)) -
-                                    {remap[v] for v in Z})
-        invz = {i: inverse[h] for h, i in remapz.items()}
-        mz = max_matching(subz)
-        if mz.size * 2 != subz.n:
-            raise AssertionError("Z has no perfect matching; structure broken")
-        for a, b in mz.edges:
-            edges.add(tuple(sorted((invz[a], invz[b]))))
-
-    critical = tuple(comp for comp in comps if set(comp) <= n2)
-    assignment: list[tuple[int, int]] = []
-    assigned_avoid: dict[int, int] = {}   # component index -> covered vertex y_x
-    if comps and A:
-        adj_sets = [set(comp) for comp in comps]
-        neighbor = {v: set(g.adj[v]) for v in A}
-        k = len(comps)
-        big = k + 1
-        # Columns: real A vertices then dummies, padded to k.
-        weights = [[0] * k for _ in range(k)]
-        for ci, comp in enumerate(comps):
-            for ai, a in enumerate(A):
-                if neighbor[a] & adj_sets[ci]:
-                    weights[ci][ai] = big if set(comp) <= n2 else 1
-        pairs, _ = hungarian_max_weight(weights)
-        for ci, col in pairs:
-            if col < len(A) and weights[ci][col] > 0:
-                a = A[col]
-                y = min(neighbor[a] & adj_sets[ci])
-                edges.add(tuple(sorted((a, y))))
-                assignment.append((a, ci))
-                assigned_avoid[ci] = y
-    for ci, comp in enumerate(comps):
-        if len(comp) == 1 and ci not in assigned_avoid:
+    n2 = shells(g, r)[2]
+    # G - r on the original labels: r stays as an isolated vertex.
+    adj = BareGraph(g.n, [e for e in g.edges() if r not in e]).adj
+    spare = set(range(g.n)).difference(n2)
+    match = [-1] * g.n
+    for s in n2:
+        if match[s] != -1:
             continue
-        if ci in assigned_avoid:
-            avoid = assigned_avoid[ci]
-        else:
-            outside = [v for v in comp if v not in n2]
-            avoid = min(outside) if outside else min(comp)
-        if len(comp) > 1:
-            for a, b in _component_matchings(
-                    host, tuple(remap[v] for v in comp), remap[avoid]):
-                edges.add(tuple(sorted((inverse[a], inverse[b]))))
-    m = Matching(frozenset(edges))
-    decision = n2 <= m.vertices()
-    return Ecc2Witness(decision, m if decision else None, ge, critical,
-                       tuple(sorted(assignment)))
+        end, parent, outer = blossom_search(adj, match, s, spare)
+        if end == -1:
+            barrier = tuple(v for v in range(g.n)
+                            if parent[v] != -1 and not outer[v])
+            return Ecc2Witness(False, None, barrier)
+        augment(match, parent, end)
+    m = Matching.of((v, match[v]) for v in range(g.n) if match[v] > v)
+    return Ecc2Witness(True, m, None)
 
 
 def plan_from_matching(g: Graph, r: int, m: Matching) -> Plan:
@@ -147,11 +89,10 @@ def diam2_decide(g: Graph) -> dict[int, Ecc2Witness]:
     if diameter(g) != 2:
         raise ValueError("graph does not have diameter 2")
     out: dict[int, Ecc2Witness] = {}
-    empty_ge = GallaiEdmondsPartition((), (), ())
     for r in range(g.n):
         if eccentricity(g, r) == 1:
             # Dominating target: every cup is one step away.
-            out[r] = Ecc2Witness(True, Matching(frozenset()), empty_ge, (), ())
+            out[r] = Ecc2Witness(True, Matching(frozenset()), None)
         else:
             out[r] = ecc2_decide(g, r)
     return out

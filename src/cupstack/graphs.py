@@ -76,7 +76,21 @@ class Graph:
         return self._dist
 
     def dist(self, u: int, v: int) -> int:
-        return self.distances()[u][v]
+        """Hop distance by a BFS from u that stops when it reaches v."""
+        if u == v:
+            return 0
+        dist = [-1] * self.n
+        dist[u] = 0
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            for y in self.adj[x]:
+                if dist[y] < 0:
+                    if y == v:
+                        return dist[x] + 1
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        raise GraphError(f"vertex {v} unreachable from {u}")
 
     def subgraph(self, vertices: Sequence[int]) -> tuple["Graph", dict[int, int]]:
         """Induced subgraph; returns it with the old->new vertex map."""
@@ -100,9 +114,6 @@ class CubeBoard:
     def dist(self, u: int, v: int) -> int:
         return (u ^ v).bit_count()
 
-    def neighbors(self, u: int) -> list[int]:
-        return [u ^ (1 << i) for i in range(self.d)]
-
     def to_graph(self) -> Graph:
         return Graph(self.n, [(u, u ^ (1 << i))
                               for u in range(self.n)
@@ -115,6 +126,7 @@ def parse_graph(text: str) -> Graph:
     """Parse the edge-list graph format: '# comment', 'n <count>', 'e <u> <v>'."""
     n = None
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -136,8 +148,10 @@ def parse_graph(text: str) -> Graph:
                 raise GraphError(f"line {lineno}: vertex out of range")
             if u == v:
                 raise GraphError(f"line {lineno}: self-loop")
-            if (u, v) in edges or (v, u) in edges:
+            key = (min(u, v), max(u, v))
+            if key in seen:
                 raise GraphError(f"line {lineno}: duplicate edge")
+            seen.add(key)
             edges.append((u, v))
         else:
             raise GraphError(f"line {lineno}: unrecognized line {line!r}")
@@ -149,10 +163,6 @@ def parse_graph(text: str) -> Graph:
 def format_graph(g: Graph) -> str:
     lines = [f"n {g.n}"] + [f"e {u} {v}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"
-
-
-def all_pairs_distances(g: Graph) -> list[list[int]]:
-    return g.distances()
 
 
 def shells(g: Graph, r: int) -> list[list[int]]:
@@ -278,6 +288,39 @@ def verify_plan(board, plan: Plan, initial: Optional[Configuration] = None) -> V
         counts[mv.src] = 0
     if counts[plan.target] != total:
         return VerifyResult(False, None, "final configuration not concentrated on target")
+    return VerifyResult(True)
+
+
+def verify_barrier(g: Graph, r: int, barrier: Iterable[int]) -> VerifyResult:
+    """Check a certificate that no matching of G - r saturates N_2(r):
+    more odd components of (G - r) - X must lie wholly inside N_2(r) than
+    X has vertices.  Each such component has an odd number of vertices
+    to cover, so it needs its own matching edge into X."""
+    X = set(barrier)
+    if not X <= set(range(g.n)):
+        return VerifyResult(False, None, "barrier vertex out of range")
+    if r in X:
+        return VerifyResult(False, None, "barrier contains the target")
+    dist = g.bfs_from(r)
+    seen = X | {r}
+    odd_inside = 0
+    for s in range(g.n):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp = [s]
+        for u in comp:
+            for v in g.adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    comp.append(v)
+        if len(comp) % 2 and all(dist[v] == 2 for v in comp):
+            odd_inside += 1
+    if odd_inside <= len(X):
+        return VerifyResult(
+            False, None,
+            f"{odd_inside} odd components of (G - r) - X inside N_2(r), "
+            f"not more than |X| = {len(X)}")
     return VerifyResult(True)
 
 

@@ -1,4 +1,5 @@
-"""Maximum matching, Gallai-Edmonds structure, and assignment solving.
+"""Maximum matching and Gallai-Edmonds structure, both built on one
+blossom search.
 
 Unlike the game board, matching hosts may be disconnected (the structure
 theory is applied to a graph with a vertex removed), so this module works
@@ -9,10 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
+from typing import Container, Iterable, Sequence
 
 
 class BareGraph:
@@ -83,78 +81,106 @@ class Matching:
         return sorted(self.edges)
 
 
+def blossom_search(adj: Sequence[Sequence[int]], match: list[int], root: int,
+                   spare: Container[int] = frozenset()
+                   ) -> tuple[int, list[int], list[bool]]:
+    """Grow Edmonds' alternating tree, contracting blossoms, from the
+    exposed vertex `root` of the matching `match` (mate per vertex, -1
+    when exposed).  Returns (end, parent, outer).
+
+    end >= 0 closes an alternating path from the root that `augment`
+    flips: either an exposed vertex, or a vertex of `spare` that became
+    outer (reachable by an even alternating path).  end == -1 means the
+    tree got stuck: `outer` then marks the vertices reachable from the
+    root by an even alternating path, and the inner vertices are those
+    with a parent that are not outer.  Neighbors are scanned in ascending
+    order, so the search is deterministic."""
+    n = len(adj)
+    outer = [False] * n
+    parent = [-1] * n
+    base = list(range(n))
+    outer[root] = True
+    queue = deque([root])
+
+    def lca(a: int, b: int) -> int:
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+        while base[v] != b:
+            blossom[base[v]] = True
+            blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                cur = lca(v, to)
+                blossom = [False] * n
+                mark_path(v, cur, to, blossom)
+                mark_path(to, cur, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = cur
+                        if not outer[i]:
+                            outer[i] = True
+                            if i in spare:
+                                return i, parent, outer
+                            queue.append(i)
+            elif parent[to] == -1:
+                parent[to] = v
+                mate = match[to]
+                if mate == -1:
+                    return to, parent, outer
+                outer[mate] = True
+                if mate in spare:
+                    return mate, parent, outer
+                queue.append(mate)
+    return -1, parent, outer
+
+
+def augment(match: list[int], parent: list[int], end: int) -> None:
+    """Flip the alternating path that `blossom_search` found from its root
+    to `end`.  When `end` is a matched (spare) vertex it ends up exposed,
+    and every other vertex on the path stays matched."""
+    if match[end] != -1:
+        mate = match[end]
+        match[end] = match[mate] = -1
+        end = mate
+    while end != -1:
+        pv = parent[end]
+        nxt = match[pv]
+        match[end] = pv
+        match[pv] = end
+        end = nxt
+
+
 def max_matching(g) -> Matching:
-    """Maximum-cardinality matching by augmenting paths with blossom
-    contraction; deterministic because roots and neighbors are scanned
-    in ascending order."""
+    """Maximum-cardinality matching: one blossom search from each vertex
+    still exposed, in ascending order."""
     g = _bare(g)
-    n = g.n
-    match = [-1] * n
-
-    def find_augmenting(root: int) -> bool:
-        used = [False] * n
-        parent = [-1] * n
-        base = list(range(n))
-        used[root] = True
-        queue = deque([root])
-
-        def lca(a: int, b: int) -> int:
-            seen = [False] * n
-            while True:
-                a = base[a]
-                seen[a] = True
-                if match[a] == -1:
-                    break
-                a = parent[match[a]]
-            while True:
-                b = base[b]
-                if seen[b]:
-                    return b
-                b = parent[match[b]]
-
-        def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
-            while base[v] != b:
-                blossom[base[v]] = True
-                blossom[base[match[v]]] = True
-                parent[v] = child
-                child = match[v]
-                v = parent[match[v]]
-
-        while queue:
-            v = queue.popleft()
-            for to in g.adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and parent[match[to]] != -1):
-                    cur = lca(v, to)
-                    blossom = [False] * n
-                    mark_path(v, cur, to, blossom)
-                    mark_path(to, cur, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = cur
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    if match[to] == -1:
-                        u = to
-                        while u != -1:
-                            pv = parent[u]
-                            nxt = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = nxt
-                        return True
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return False
-
-    for root in range(n):
+    match = [-1] * g.n
+    for root in range(g.n):
         if match[root] == -1:
-            find_augmenting(root)
-    return Matching.of((v, match[v]) for v in range(n) if match[v] > v)
+            end, parent, _ = blossom_search(g.adj, match, root)
+            if end != -1:
+                augment(match, parent, end)
+    return Matching.of((v, match[v]) for v in range(g.n) if match[v] > v)
 
 
 def matching_number(g) -> int:
@@ -191,15 +217,18 @@ class GallaiEdmondsPartition:
 
 def gallai_edmonds(g) -> GallaiEdmondsPartition:
     """Structure partition (I, A, Z): I holds the vertices missed by some
-    maximum matching, found by comparing the matching number with and
-    without each vertex; A is the outside neighborhood of I; Z the rest."""
+    maximum matching, which are the outer vertices of the stuck blossom
+    search from each vertex that one maximum matching leaves exposed; A
+    is the outside neighborhood of I; Z the rest."""
     g = _bare(g)
-    nu = matching_number(g)
+    match = [-1] * g.n
+    for u, v in max_matching(g).edges:
+        match[u], match[v] = v, u
     inessential = set()
-    for v in range(g.n):
-        sub, _ = g.without({v})
-        if matching_number(sub) == nu:
-            inessential.add(v)
+    for root in range(g.n):
+        if match[root] == -1:
+            _, _, outer = blossom_search(g.adj, match, root)
+            inessential.update(v for v in range(g.n) if outer[v])
     A = sorted({u for v in inessential for u in g.adj[v]} - inessential)
     Z = sorted(set(range(g.n)) - inessential - set(A))
     sub, remap = g.without(set(range(g.n)) - inessential)
@@ -207,25 +236,3 @@ def gallai_edmonds(g) -> GallaiEdmondsPartition:
     comps = tuple(tuple(sorted(inverse[i] for i in comp))
                   for comp in sub.components())
     return GallaiEdmondsPartition(tuple(sorted(comps)), tuple(A), tuple(Z))
-
-
-def near_perfect_matching(g, avoid: int) -> Matching:
-    """Perfect matching of g minus one vertex; g must be factor-critical."""
-    g = _bare(g)
-    sub, remap = g.without({avoid})
-    m = max_matching(sub)
-    if m.size * 2 != sub.n:
-        raise ValueError(f"graph minus vertex {avoid} has no perfect matching")
-    inverse = {i: v for v, i in remap.items()}
-    return Matching.of((inverse[a], inverse[b]) for a, b in m.edges)
-
-
-def hungarian_max_weight(weights: Sequence[Sequence[int]]) -> tuple[list[tuple[int, int]], int]:
-    """Maximum-weight perfect matching of a square bipartite instance."""
-    w = np.asarray(weights)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("instance must be square")
-    rows, cols = linear_sum_assignment(w, maximize=True)
-    pairs = sorted(zip(rows.tolist(), cols.tolist()))
-    total = int(w[rows, cols].sum())
-    return pairs, total

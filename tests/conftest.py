@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -66,12 +66,6 @@ def brute_force_matching_number(g) -> int:
         return score
 
     return best(frozenset(range(g.n)))
-
-
-def brute_force_assignment(weights) -> int:
-    n = len(weights)
-    return max(sum(weights[i][p[i]] for i in range(n))
-               for p in permutations(range(n)))
 
 
 def floyd_warshall(g: Graph):

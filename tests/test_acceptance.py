@@ -11,17 +11,18 @@ from math import comb
 
 import pytest
 
-from conftest import (brute_force_assignment, brute_force_matching_number,
-                      random_bare_graph, random_connected_graph)
-from cupstack.graphs import Configuration, CubeBoard, Move, Plan, shells, verify_plan
+from conftest import (brute_force_matching_number, random_bare_graph,
+                      random_connected_graph)
+from cupstack.graphs import (Configuration, CubeBoard, Graph, Move, Plan,
+                             shells, verify_barrier, verify_plan)
 from cupstack.ecc2 import diam2_decide, ecc2_decide
 from cupstack.families import (cycle_graph, grid_graph, kneser_stackable,
                                multipartite_decide, path_graph, plan_cycle,
                                plan_grid, plan_path, plan_spider, spider_graph,
                                star_graph)
 from cupstack.matching import (BareGraph, gallai_edmonds, has_perfect_matching,
-                               hungarian_max_weight, is_factor_critical,
-                               max_matching, matching_number)
+                               is_factor_critical, max_matching,
+                               matching_number)
 from cupstack.oracle import oracle_decide, oracle_search, oracle_stackable
 from cupstack.cube import phi, plan_cube, revolving_door, scd, verify_cube_plan
 from cupstack.graphs import apply_move, legal_move
@@ -45,25 +46,33 @@ def compositions(total: int, parts: int):
 
 def test_acceptance_1_oracle_matching_equivalence(atlas7):
     """ecc2 decision equals the exhaustive oracle on every connected graph
-    with at most 7 vertices, for every eccentricity-2 target."""
+    with at most 7 vertices, for every eccentricity-2 target, and every
+    negative decision carries a barrier that verify_barrier accepts."""
     t0 = time.time()
     targets = 0
     mismatches = 0
+    noes = 0
+    bad_barriers = 0
     for g in atlas7:
         ones = Configuration.all_ones(g.n)
         for r in range(g.n):
             if max(g.bfs_from(r)) != 2:
                 continue
             targets += 1
-            if ecc2_decide(g, r).decision != oracle_decide(g, ones, r):
+            w = ecc2_decide(g, r)
+            if w.decision != oracle_decide(g, ones, r):
                 mismatches += 1
+            if not w.decision:
+                noes += 1
+                bad_barriers += not verify_barrier(g, r, w.barrier)
     elapsed = time.time() - t0
-    ok = mismatches == 0 and elapsed < 300
+    ok = mismatches == 0 and bad_barriers == 0 and elapsed < 300
     report(f"ACCEPTANCE 1 oracle-matching equivalence: "
            f"{'PASS' if ok else 'FAIL'} — {mismatches} mismatches over "
-           f"{targets} ecc-2 targets on {len(atlas7)} graphs "
-           f"({elapsed:.1f}s)")
+           f"{targets} ecc-2 targets on {len(atlas7)} graphs, "
+           f"{bad_barriers}/{noes} NO barriers rejected ({elapsed:.1f}s)")
     assert mismatches == 0 and targets > 3000
+    assert bad_barriers == 0 and noes > 0
     assert elapsed < 300
 
 
@@ -139,7 +148,7 @@ def test_acceptance_3_constructive_planners():
 
 
 def test_acceptance_4_matching_subsystem(atlas7):
-    """Blossom vs brute force, Gallai-Edmonds structure, Hungarian."""
+    """Blossom vs brute force, Gallai-Edmonds structure, ecc-2 barriers."""
     mismatches = 0
     count_bf = 0
     for g in atlas7:
@@ -176,19 +185,45 @@ def test_acceptance_4_matching_subsystem(atlas7):
             g.n - len(ge.I_components) + len(ge.A)
         ge_bad += not okay
 
-    hung_bad = 0
-    for _ in range(1000):
-        n = rng.randint(1, 7)
-        w = [[rng.randint(0, 50) for _ in range(n)] for _ in range(n)]
-        if hungarian_max_weight(w)[1] != brute_force_assignment(w):
-            hung_bad += 1
+    # Beyond the atlas the oracle is out of reach, so each ecc-2 decision
+    # is checked by its own certificate: a valid matching of G - r that
+    # saturates N_2(r), or a barrier that verify_barrier accepts.
+    targets = 0
+    noes = 0
+    cert_bad = 0
+    for _ in range(300):
+        # Vertex 0 is joined to 1..k and every later vertex to one of them,
+        # so 0 has eccentricity 2; the extra edges avoid 0.
+        n = rng.randint(8, 30)
+        k = rng.randint(1, n // 3)
+        edges = {(0, v) for v in range(1, k + 1)}
+        edges |= {(rng.randint(1, k), v) for v in range(k + 1, n)}
+        for _ in range(rng.randint(0, 2 * n)):
+            edges.add(tuple(sorted(rng.sample(range(1, n), 2))))
+        g = Graph(n, sorted(edges))
+        for r in range(g.n):
+            sh = shells(g, r)
+            if len(sh) != 3:
+                continue
+            targets += 1
+            w = ecc2_decide(g, r)
+            if w.decision:
+                m = w.matching
+                cert_bad += not (set(sh[2]) <= m.vertices()
+                                 and len(m.vertices()) == 2 * m.size
+                                 and all(v in g.adj[u] and r not in (u, v)
+                                         for u, v in m.edges))
+            else:
+                noes += 1
+                cert_bad += not verify_barrier(g, r, w.barrier)
 
-    ok = mismatches == 0 and ge_bad == 0 and hung_bad == 0
+    ok = mismatches == 0 and ge_bad == 0 and cert_bad == 0
     report(f"ACCEPTANCE 4 matching subsystem: "
            f"{'PASS' if ok else 'FAIL'} — blossom {mismatches}/{count_bf} "
            f"mismatches, structure {ge_bad}/500 bad, "
-           f"assignment {hung_bad}/1000 bad")
-    assert mismatches == 0 and ge_bad == 0 and hung_bad == 0
+           f"certificates {cert_bad}/{targets} bad ({noes} barriers)")
+    assert mismatches == 0 and ge_bad == 0 and cert_bad == 0
+    assert noes > 0
 
 
 def test_acceptance_5_cube_machinery():

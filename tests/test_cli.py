@@ -67,6 +67,21 @@ def test_decide_budget_inconclusive(tmp_path, capsys):
     assert code == 3 and data["stackable"] is None
 
 
+def test_decide_ecc2_no_prints_barrier(tmp_path, capsys):
+    path = gen(tmp_path, capsys, "star", 3)
+    code, data, _ = run(capsys, "decide", "-g", path, "-r", "1")
+    assert code == 1 and data["method"] == "ecc2"
+    assert data["stackable"] is False and data["barrier"] == [0]
+
+
+def test_bad_budget_variable_is_usage_error(capsys, monkeypatch):
+    for value in ("lots", "0", "-5", ""):
+        monkeypatch.setenv("CUPSTACK_ORACLE_BUDGET", value)
+        code, _, err = run(capsys, "decide", "-g", "/nonexistent.graph",
+                           "-r", "0")
+        assert code == 2 and "CUPSTACK_ORACLE_BUDGET" in err
+
+
 def test_plan_verify_round_trip(tmp_path, capsys):
     graph = gen(tmp_path, capsys, "cycle", 7)
     plan = tmp_path / "plan.json"

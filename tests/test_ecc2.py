@@ -5,7 +5,8 @@ import random
 import pytest
 
 from conftest import random_connected_graph
-from cupstack.graphs import Configuration, Graph, shells, verify_plan
+from cupstack.graphs import (Configuration, Graph, shells, verify_barrier,
+                             verify_plan)
 from cupstack.ecc2 import (diam2_decide, ecc2_decide, ecc2_plan,
                            plan_from_matching)
 from cupstack.families import (complete_graph, cycle_graph, multipartite_graph,
@@ -82,14 +83,16 @@ def test_diam2_verdicts():
 
 
 def test_witness_structure_is_consistent():
-    g = petersen_graph()
-    w = ecc2_decide(g, 0)
-    n2 = set(shells(g, 0)[2])
-    for comp in w.critical_components:
-        assert set(comp) <= n2
-    comp_sets = [set(c) for c in w.ge.I_components]
-    for a, ci in w.assignment:
-        assert a in w.ge.A and 0 <= ci < len(comp_sets)
+    w = ecc2_decide(petersen_graph(), 0)
+    assert w.decision and w.barrier is None
+    for sizes, r, barrier in (([4, 2], 0, (4, 5)), ([7, 3], 0, (7, 8, 9))):
+        g = multipartite_graph(sizes)
+        w = ecc2_decide(g, r)
+        assert not w.decision and w.matching is None
+        assert w.barrier == barrier and verify_barrier(g, r, w.barrier)
+        for tampered in (w.barrier[1:], w.barrier + (r,), w.barrier + (g.n,)):
+            res = verify_barrier(g, r, tampered)
+            assert not res and res.reason
 
 
 def test_tree_criterion():

@@ -40,6 +40,8 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("e 0 1")
     with pytest.raises(GraphError, match="line 3"):
         parse_graph("n 3\ne 0 1\ne 0 1\ne 1 2")
+    with pytest.raises(GraphError, match="line 3: duplicate edge"):
+        parse_graph("n 3\ne 0 1\ne 1 0\ne 1 2")
 
 
 def test_parse_comments_and_blank_lines():

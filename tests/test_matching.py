@@ -1,18 +1,15 @@
-"""Blossom matching, Gallai-Edmonds structure, and the assignment solver."""
+"""Blossom matching and Gallai-Edmonds structure."""
 
 import random
 from itertools import combinations
 
-import pytest
 
-from conftest import (brute_force_assignment, brute_force_matching_number,
-                      random_bare_graph)
+from conftest import brute_force_matching_number, random_bare_graph
 from cupstack.families import (complete_graph, cycle_graph, path_graph,
                                petersen_graph, star_graph)
 from cupstack.matching import (BareGraph, Matching, gallai_edmonds,
-                               has_perfect_matching, hungarian_max_weight,
-                               is_factor_critical, max_matching,
-                               matching_number, near_perfect_matching)
+                               has_perfect_matching, is_factor_critical,
+                               max_matching, matching_number)
 
 
 def check_matching_valid(g, m: Matching) -> None:
@@ -107,44 +104,3 @@ def test_ge_properties_random():
     for _ in range(120):
         g = random_bare_graph(rng, rng.randint(1, 10), rng.uniform(0.1, 0.7))
         ge_structural_properties(g)
-
-
-def test_near_perfect_matching_cycles():
-    for n in (5, 7):
-        g = cycle_graph(n)
-        for v in range(n):
-            m = near_perfect_matching(g, v)
-            check_matching_valid(g, m)
-            assert m.size == (n - 1) // 2 and v not in m.vertices()
-
-
-def test_near_perfect_single_vertex():
-    assert near_perfect_matching(BareGraph(1, []), 0).size == 0
-
-
-def test_near_perfect_rejects_non_critical():
-    with pytest.raises(ValueError):
-        near_perfect_matching(path_graph(4), 1)
-
-
-def test_hungarian_examples():
-    assert hungarian_max_weight([[2, 1], [1, 2]])[1] == 4
-    assert hungarian_max_weight([[5]])[1] == 5
-    assert hungarian_max_weight([[1, 2, 3], [2, 4, 6], [3, 6, 9]])[1] == 14
-
-
-def test_hungarian_rejects_non_square():
-    with pytest.raises(ValueError):
-        hungarian_max_weight([[1, 2, 3], [4, 5, 6]])
-
-
-def test_hungarian_matches_brute_force():
-    rng = random.Random(321)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        w = [[rng.randint(0, 20) for _ in range(n)] for _ in range(n)]
-        pairs, total = hungarian_max_weight(w)
-        assert total == brute_force_assignment(w)
-        assert sorted(r for r, _ in pairs) == list(range(n))
-        assert sorted(c for _, c in pairs) == list(range(n))
-        assert sum(w[r][c] for r, c in pairs) == total
