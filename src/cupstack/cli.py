@@ -26,17 +26,25 @@ EXIT_INCONCLUSIVE = 3
 BUDGET_ENV = "CUPSTACK_ORACLE_BUDGET"
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _default_budget() -> int:
     text = os.environ.get(BUDGET_ENV)
     if text is None:
         return oracle_mod.DEFAULT_BUDGET
     try:
-        budget = int(text)
-    except ValueError:
-        budget = 0
-    if budget < 1:
-        raise ValueError(f"{BUDGET_ENV} must be a positive integer, got {text!r}")
-    return budget
+        return _positive_int(text)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{BUDGET_ENV} {exc}") from None
 
 
 def _emit(data: dict, pretty: bool) -> None:
@@ -219,7 +227,8 @@ def _cmd_oracle(args) -> int:
             raise ValueError("configuration length mismatch")
         initial = graphs.Configuration(counts)
     res = oracle_mod.oracle_search(g, initial, r, args.budget)
-    out = {"target": r, "states": res.states}
+    out = {"target": r, "states": res.states, "pruned": res.pruned,
+           "rejected_by": res.rejected_by}
     if res.inconclusive:
         out["stackable"] = None
         out["inconclusive"] = "budget exhausted"
@@ -293,6 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
         if graph:
             p.add_argument("-g", "--graph", help="graph file")
 
+    budget = _default_budget()
+
+    def budget_arg(p):
+        p.add_argument("--budget", type=_positive_int, default=budget,
+                       help="oracle state budget")
+
     p = sub.add_parser("gen", help="generate a family graph")
     p.add_argument("family")
     p.add_argument("params", nargs="*", type=int)
@@ -305,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", "--target", type=int, required=True)
     p.add_argument("--method", choices=["auto", "oracle", "ecc2"],
                    default="auto")
-    p.add_argument("--budget", type=int, default=_default_budget())
+    budget_arg(p)
 
     p = sub.add_parser("plan", help="produce a stacking plan")
     common(p)
@@ -314,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--family", help="use a family planner instead of a file")
     p.add_argument("--params", nargs="*", type=int, default=[])
-    p.add_argument("--budget", type=int, default=_default_budget())
+    budget_arg(p)
     p.add_argument("-o", "--output", help="plan JSON file to write")
 
     p = sub.add_parser("verify", help="verify a plan file")
@@ -326,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive search decision")
     common(p)
     p.add_argument("-r", "--target", type=int, required=True)
-    p.add_argument("--budget", type=int, default=_default_budget())
+    budget_arg(p)
     p.add_argument("--config", help="comma-separated initial cup counts")
     p.add_argument("--plan", action="store_true", help="include the moves")
 

@@ -82,6 +82,26 @@ def test_bad_budget_variable_is_usage_error(capsys, monkeypatch):
         assert code == 2 and "CUPSTACK_ORACLE_BUDGET" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_nonpositive_budget_is_usage_error(tmp_path, capsys, value):
+    graph = gen(tmp_path, capsys, "path", 4)
+    for cmd in (["decide", "--method", "oracle"],
+                ["plan", "--method", "oracle"], ["oracle"]):
+        code, data, err = run(capsys, *cmd, "-g", graph, "-r", "0",
+                              "--budget", value)
+        assert code == 2 and data is None and "--budget" in err
+
+
+def test_oracle_reports_prunes(tmp_path, capsys):
+    graph = gen(tmp_path, capsys, "star", 3)
+    code, data, _ = run(capsys, "oracle", "-g", graph, "-r", "1")
+    assert code == 1 and data["stackable"] is False
+    assert data["rejected_by"] is None and data["pruned"] > 0
+    code, data, _ = run(capsys, "oracle", "-g", graph, "-r", "1",
+                        "--config", "1,0,1,1")
+    assert code == 1 and data["rejected_by"] == "a" and data["states"] == 1
+
+
 def test_plan_verify_round_trip(tmp_path, capsys):
     graph = gen(tmp_path, capsys, "cycle", 7)
     plan = tmp_path / "plan.json"

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import random_connected_graph
 from cupstack.graphs import Configuration, CubeBoard, verify_plan
-from cupstack.families import (complete_graph, cycle_graph, multipartite_graph,
-                               path_graph, star_graph)
+from cupstack.families import (complete_graph, cycle_graph, grid_graph,
+                               multipartite_graph, path_graph, star_graph)
 from cupstack.oracle import (BudgetExhausted, oracle_decide, oracle_plan,
                              oracle_search, oracle_stackable)
 
@@ -86,6 +86,9 @@ def test_input_validation():
         oracle_search(g, Configuration.all_ones(4), 0)
     with pytest.raises(ValueError):
         oracle_search(g, Configuration((0, 0, 0)), 0)
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            oracle_search(g, Configuration.all_ones(3), 0, budget=budget)
 
 
 def test_positive_decisions_come_with_verified_plans():
@@ -106,3 +109,83 @@ def test_oracle_is_deterministic():
     a = oracle_search(g, Configuration.all_ones(4), 1)
     b = oracle_search(g, Configuration.all_ones(4), 1)
     assert a.plan.moves == b.plan.moves and a.states == b.states
+
+
+def reference_stackable(g, counts, r):
+    """Plain depth-first search over every legal move, with no pruning."""
+    dist = g.distances()
+    goal = tuple(sum(counts) if v == r else 0 for v in range(g.n))
+    seen = {tuple(counts)}
+    todo = [tuple(counts)]
+    while todo:
+        state = todo.pop()
+        if state == goal:
+            return True
+        for src, pile in enumerate(state):
+            for dst in range(g.n):
+                if pile and dst != src and state[dst] and dist[src][dst] == pile:
+                    nxt = list(state)
+                    nxt[dst] += pile
+                    nxt[src] = 0
+                    nxt = tuple(nxt)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+    return False
+
+
+def _check_against_reference(g, counts, r):
+    res = oracle_search(g, Configuration(counts), r)
+    assert res.decision == reference_stackable(g, counts, r), (g.edges(), counts, r)
+    if res.decision:
+        assert verify_plan(g, res.plan)
+    return res
+
+
+def test_prunes_keep_every_verdict():
+    rng = random.Random(4)
+    rejected = {"a": 0, "b": 0}
+    for _ in range(400):
+        g = random_connected_graph(rng, rng.randint(1, 7))
+        r = rng.randrange(g.n)
+        counts = [rng.choice((0, 1, 1, 1, 2)) for _ in range(g.n)]
+        case = rng.randrange(3)
+        if case == 0 and g.n > 1:
+            counts[r] = 0                           # the target starts empty
+        elif case == 1 and g.n > 1:
+            v = rng.choice([v for v in range(g.n) if v != r])
+            counts[v] = max(g.distances()[v]) + 1   # a dead pile at v
+        if sum(counts) == 0:
+            counts[r] = 1
+        res = _check_against_reference(g, counts, r)
+        if res.rejected_by:
+            assert res.decision is False and res.states == 1
+            rejected[res.rejected_by] += 1
+    assert rejected["a"] > 0 and rejected["b"] > 0
+
+
+def test_prunes_keep_gather3_verdicts():
+    # 3-cube configurations with empty vertices, as cube._gather3 asks.
+    q3 = CubeBoard(3).to_graph()
+    rng = random.Random(8)
+    for _ in range(150):
+        counts = [rng.choice((0, 1, 1, 2)) for _ in range(8)]
+        counts[0] = max(counts[0], 1)
+        _check_against_reference(q3, counts, 0)
+
+
+def test_start_rejections_are_reported():
+    g = path_graph(3)
+    res = oracle_search(g, Configuration((0, 1, 1)), 0)
+    assert (res.decision, res.rejected_by, res.states) == (False, "a", 1)
+    res = oracle_search(g, Configuration((1, 1, 3)), 0)
+    assert (res.decision, res.rejected_by, res.states) == (False, "b", 1)
+    res = oracle_search(g, Configuration.all_ones(3), 0)
+    assert res.decision is True and res.rejected_by is None
+
+
+def test_search_sizes_stay_pruned():
+    res = oracle_search(grid_graph(4, 3), Configuration.all_ones(12), 0)
+    assert res.decision is True and res.states <= 1_000 and res.pruned > 0
+    res = oracle_search(multipartite_graph([7, 3]), Configuration.all_ones(10), 0)
+    assert res.decision is False and res.states <= 2_000 and res.pruned > 0
