@@ -106,12 +106,18 @@ class SubcubeHandle:
         return self.base.bit_count()
 
 
+@lru_cache(maxsize=None)
+def _offsets(dims: tuple[int, ...]) -> tuple[int, ...]:
+    """Global bits of every relative mask over `dims`: entry rel sets bit
+    dims[i] exactly when rel sets bit i."""
+    table = [0]
+    for dim in dims:
+        table += [x | (1 << dim) for x in table]
+    return tuple(table)
+
+
 def _embed(base: int, dims: Sequence[int], rel: int) -> int:
-    x = base
-    for i, dim in enumerate(dims):
-        if rel >> i & 1:
-            x |= 1 << dim
-    return x
+    return base | _offsets(tuple(dims))[rel]
 
 
 @lru_cache(maxsize=None)
@@ -123,8 +129,8 @@ def _standalone(k: int) -> tuple[tuple[int, int], ...]:
 def _gather_full(base: int, dims: Sequence[int], t_rel: int) -> list[tuple[int, int]]:
     """Stack a whole all-ones subcube onto the vertex at relative mask
     t_rel, by translating the standalone full-cube plan."""
-    return [(_embed(base, dims, u ^ t_rel), _embed(base, dims, v ^ t_rel))
-            for u, v in _standalone(len(dims))]
+    verts = [base | off for off in _offsets(tuple(dims))]
+    return [(verts[u ^ t_rel], verts[v ^ t_rel]) for u, v in _standalone(len(dims))]
 
 
 def _solve(base: int, dims: tuple[int, ...]) -> list[tuple[int, int]]:
