@@ -48,11 +48,9 @@ def _default_budget() -> int:
 
 
 def _emit(data: dict, pretty: bool) -> None:
-    if pretty:
-        json.dump(data, sys.stdout, indent=2, sort_keys=True)
-    else:
-        json.dump(data, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    # json.dumps encodes in one shot, with the C encoder when not indenting.
+    sys.stdout.write(json.dumps(data, indent=2 if pretty else None,
+                                sort_keys=True) + "\n")
 
 
 def _load_graph(path: str) -> graphs.Graph:
@@ -171,7 +169,7 @@ def _cmd_plan(args) -> int:
     data = plan.to_json_dict()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
+            fh.write(json.dumps(data))
         _emit({"target": plan.target, "moves": len(plan.moves),
                "output": args.output}, args.pretty)
     else:
@@ -236,7 +234,7 @@ def _cmd_oracle(args) -> int:
         return EXIT_INCONCLUSIVE
     out["stackable"] = res.decision
     if res.decision and args.plan:
-        out["moves"] = [[m.src, m.dst] for m in res.plan.moves]
+        out["moves"] = res.plan.to_json_dict()["moves"]
     _emit(out, args.pretty)
     return EXIT_YES if res.decision else EXIT_NO
 
@@ -284,7 +282,7 @@ def _cmd_cube(args) -> int:
             out["reason"] = ver.reason
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(res.plan.to_json_dict(), fh)
+            fh.write(json.dumps(res.plan.to_json_dict()))
         out["output"] = args.output
     _emit(out, args.pretty)
     ok = res.complete and (out.get("verified", True))

@@ -14,16 +14,23 @@ adjacent labels along a revolving-door cycle; level-9-and-up 3-cubes
 team up in chain triples (A, phi(A), phi(phi(A))) from a symmetric chain
 decomposition, shuttling single cups between cubes until every pile
 matches a weight.
+
+Every fragment is a cached template of flat moves [s0, d0, s1, d1, ...]
+over relative vertex indices: index i * 2^k + rel is the vertex at
+relative mask rel of the i-th subcube in play, and -1 is the target.
+Emitting a fragment looks its indices up in a table of global vertices
+and appends them to the plan's one flat int array.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graphs import Configuration, CubeBoard, Move, Plan
+from .graphs import Configuration, CubeBoard, Plan
 from .oracle import oracle_search
 
 
@@ -68,16 +75,19 @@ def scd(n: int) -> list[list[int]]:
     return chains
 
 
-def phi(n: int, mask: int) -> int:
-    """Chain predecessor of a set larger than half the ground set."""
-    if 2 * mask.bit_count() <= n:
-        raise ValueError("phi is only defined for sets larger than n/2")
-    ones, _ = _unmatched(n, mask)
-    return mask & ~(1 << ones[-1])
-
-
 def _phi_or_none(n: int, mask: int) -> Optional[int]:
-    return phi(n, mask) if 2 * mask.bit_count() > n else None
+    ones, _ = _unmatched(n, mask)
+    return mask & ~(1 << ones[-1]) if ones else None
+
+
+def phi(n: int, mask: int) -> int:
+    """Chain predecessor in the symmetric chain decomposition: drop the
+    last unmatched one (Greene-Kleitman bracket rule).  Every set but a
+    chain bottom has one."""
+    pred = _phi_or_none(n, mask)
+    if pred is None:
+        raise ValueError("a chain bottom has no predecessor")
+    return pred
 
 
 def revolving_door(m: int, k: int) -> list[tuple[int, ...]]:
@@ -116,66 +126,72 @@ def _offsets(dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _embed(base: int, dims: Sequence[int], rel: int) -> int:
-    return base | _offsets(tuple(dims))[rel]
+def _emit(out: Optional[array], bases: Sequence[int], dims: Sequence[int],
+          template: Sequence[int]) -> array:
+    """Append a fragment template to `out` (a new flat array when None)
+    and return it: index i * 2^k + rel is the vertex at relative mask rel
+    of the subcube at bases[i], and -1, the last table entry, is the
+    target."""
+    if out is None:
+        out = array("q")
+    offs = _offsets(tuple(dims))
+    table = [base | off for base in bases for off in offs]
+    table.append(0)
+    out.extend(map(table.__getitem__, template))
+    return out
 
 
 @lru_cache(maxsize=None)
-def _standalone(k: int) -> tuple[tuple[int, int], ...]:
+def _standalone(k: int) -> tuple[int, ...]:
     """Full plan for an all-ones Q^k onto its zero vertex."""
-    return tuple(_solve(0, tuple(range(k))))
+    return tuple(0 if x == -1 else x for x in _solve(k, 0))
 
 
-def _gather_full(base: int, dims: Sequence[int], t_rel: int) -> list[tuple[int, int]]:
-    """Stack a whole all-ones subcube onto the vertex at relative mask
-    t_rel, by translating the standalone full-cube plan."""
-    verts = [base | off for off in _offsets(tuple(dims))]
-    return [(verts[u ^ t_rel], verts[v ^ t_rel]) for u, v in _standalone(len(dims))]
-
-
-def _solve(base: int, dims: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Moves sending every cup of an all-ones subcube to the global zero:
-    low levels split along a free dimension, high levels pile everything
-    on a vertex whose weight is the subcube size and jump."""
-    k = len(dims)
-    l = base.bit_count()
+@lru_cache(maxsize=None)
+def _solve(k: int, l: int) -> tuple[int, ...]:
+    """Template sending every cup of an all-ones level-l k-cube to the
+    global zero: low levels split along the first free dimension, high
+    levels pile everything on a vertex whose weight is the subcube size
+    (by translating the standalone full-cube plan) and jump."""
+    top = 1 << k
     if k == 0:
         if l == 0:
-            return []
+            return ()
         if l == 1:
-            return [(base, 0)]
+            return (0, -1)
         raise CubeError(f"lone vertex of weight {l} cannot reach the target")
-    if l < (1 << k) - k:
-        return (_solve(base, dims[1:]) +
-                _solve(base | (1 << dims[0]), dims[1:]))
-    if l <= (1 << k):
-        j = (1 << k) - l
-        t = _embed(base, dims, (1 << j) - 1)
-        return _gather_full(base, dims, (1 << j) - 1) + [(t, 0)]
+    if l < top - k:
+        # The halves span dims[1:]; their relative masks shift up one bit,
+        # and the upper half sets the split dimension.
+        return (tuple(x if x < 0 else x << 1 for x in _solve(k - 1, l)) +
+                tuple(x if x < 0 else x << 1 | 1 for x in _solve(k - 1, l + 1)))
+    if l <= top:
+        t = (1 << (top - l)) - 1
+        return tuple(x ^ t for x in _standalone(k)) + (t, -1)
     raise CubeError(f"level-{l} {k}-cube is not directly stackable")
 
 
-def plan_low_subcube(handle: SubcubeHandle) -> list[tuple[int, int]]:
+def plan_low_subcube(handle: SubcubeHandle, out: Optional[array] = None) -> array:
     """Fragment for a k-cube with k <= 3; the level-4 3-cube is the one
-    excluded case (it needs a partner gadget)."""
+    excluded case (it needs a partner gadget).  Like every fragment, it
+    is appended to `out` (a new flat array when omitted), which is
+    returned."""
     k = len(handle.free_dims)
     if k > 3:
         raise CubeError("plan_low_subcube handles k <= 3")
     if (k, handle.level) == (3, 4):
         raise CubeError("a level-4 3-cube cannot be stacked alone")
-    return _solve(handle.base, handle.free_dims)
+    return _emit(out, (handle.base,), handle.free_dims, _solve(k, handle.level))
 
 
-def plan_high_kcube(handle: SubcubeHandle) -> list[tuple[int, int]]:
+def plan_high_kcube(handle: SubcubeHandle, out: Optional[array] = None) -> array:
     """Fragment for a k-cube whose level is at least 2^k - k: gather the
     whole cube on a weight-2^k vertex and jump."""
     k = len(handle.free_dims)
     l = handle.level
     if l < (1 << k) - k or l > (1 << k):
         raise CubeError(f"level {l} outside [{(1 << k) - k}, {1 << k}]")
-    j = (1 << k) - l
-    t = _embed(handle.base, handle.free_dims, (1 << j) - 1)
-    return _gather_full(handle.base, handle.free_dims, (1 << j) - 1) + [(t, 0)]
+    return _emit(out, (handle.base,), handle.free_dims, _solve(k, l))
 
 
 # --------------------------------------------------------- 3-cube gathering
@@ -186,14 +202,14 @@ def _q3_graph():
 
 
 @lru_cache(maxsize=None)
-def _gather3(counts: tuple[int, ...], target: int) -> Optional[tuple[tuple[int, int], ...]]:
-    """Move sequence concentrating a 3-cube configuration on one vertex,
+def _gather3(counts: tuple[int, ...], target: int) -> Optional[tuple[int, ...]]:
+    """Flat moves concentrating a 3-cube configuration on one vertex,
     found by exhaustive search; None when impossible."""
     res = oracle_search(_q3_graph(), Configuration(counts), target,
                         budget=10**6)
     if res.decision is not True:
         return None
-    return tuple((m.src, m.dst) for m in res.plan.moves)
+    return tuple(res.plan.flat)
 
 
 # ------------------------------------------------------------ gadget library
@@ -205,15 +221,15 @@ LEVEL3_4CUBE_GADGET: tuple[tuple[int, int], ...] = (
     (5, 4), (4, 7), (6, 7), (3, 11), (11, 7), (7, -1),
     (14, 12), (8, 10), (13, 9), (12, 15), (10, 15), (9, 15), (15, -1),
 )
+_LEVEL3_4CUBE_FLAT = tuple(x for mv in LEVEL3_4CUBE_GADGET for x in mv)
 
 
-def plan_level3_4cube(handle: SubcubeHandle) -> list[tuple[int, int]]:
+def plan_level3_4cube(handle: SubcubeHandle, out: Optional[array] = None) -> array:
     """Fragment for a level-3 4-cube: piles of 3, 6, and 7 cups exit from
     vertices of matching weight."""
     if handle.level != 3 or len(handle.free_dims) != 4:
         raise CubeError("gadget requires a level-3 4-cube")
-    emb = lambda rel: _embed(handle.base, handle.free_dims, rel)
-    return [(emb(a), 0 if b < 0 else emb(b)) for a, b in LEVEL3_4CUBE_GADGET]
+    return _emit(out, (handle.base,), handle.free_dims, _LEVEL3_4CUBE_FLAT)
 
 
 PAIR_GADGET: tuple[tuple[str, int, str, int], ...] = (
@@ -241,18 +257,19 @@ TRIPLE_GADGET: tuple[tuple[str, int, str, int], ...] = (
 )
 
 
-def _compile_gadget(template, bases: dict[str, int],
-                    dims: Sequence[int]) -> list[tuple[int, int]]:
-    out = []
-    for cu, ru, cv, rv in template:
-        src = _embed(bases[cu], dims, ru)
-        dst = 0 if rv < 0 else _embed(bases[cv], dims, rv)
-        out.append((src, dst))
-    return out
+def _compile_gadget(template) -> tuple[int, ...]:
+    """Template indices of a gadget over the 3-cubes u, v, w in order."""
+    index = lambda c, rel: -1 if rel < 0 else 8 * "uvw".index(c) + rel
+    return tuple(x for cu, ru, cv, rv in template
+                 for x in (index(cu, ru), index(cv, rv)))
 
 
-def plan_level4_3cubes(d: int, labels: Optional[Sequence[int]] = None
-                       ) -> list[tuple[int, int]]:
+_PAIR_FLAT = _compile_gadget(PAIR_GADGET)
+_TRIPLE_FLAT = _compile_gadget(TRIPLE_GADGET)
+
+
+def plan_level4_3cubes(d: int, labels: Optional[Sequence[int]] = None,
+                       out: Optional[array] = None) -> array:
     """Fragment covering every level-4 3-cube of the standard split: the
     labels are paired along a revolving-door cycle, with one triple when
     the count is odd."""
@@ -265,19 +282,20 @@ def plan_level4_3cubes(d: int, labels: Optional[Sequence[int]] = None
         expected = sorted(cycle)
         if sorted(labels) != expected:
             raise CubeError("labels must be exactly the level-4 labels")
-    moves: list[tuple[int, int]] = []
+    if out is None:
+        out = array("q")
     idx = 0
     if len(cycle) % 2:
         u, v, w = cycle[0], cycle[1], cycle[2]
         assert (u ^ v).bit_count() == 2 and (v ^ w).bit_count() == 2
-        moves += _compile_gadget(TRIPLE_GADGET, {"u": u, "v": v, "w": w}, dims)
+        _emit(out, (u, v, w), dims, _TRIPLE_FLAT)
         idx = 3
     while idx < len(cycle):
         u, v = cycle[idx], cycle[idx + 1]
         assert (u ^ v).bit_count() == 2
-        moves += _compile_gadget(PAIR_GADGET, {"u": u, "v": v}, dims)
+        _emit(out, (u, v), dims, _PAIR_FLAT)
         idx += 2
-    return moves
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -345,8 +363,28 @@ def _steal5_template(l: int) -> tuple[int, tuple[int, ...], tuple]:
     raise AssertionError(f"no feasible steal pattern at level {l}")
 
 
+@lru_cache(maxsize=None)
+def _abc_flat(l: int) -> tuple[int, ...]:
+    """Template of the level-l chain triple over the 3-cubes A, B, C."""
+    A, B, C = 0, 8, 16
+    shift = lambda gather, cube: tuple(x + cube for x in gather)
+    if l == 9:
+        t1, t2, ga, gb, gc = _abc9_template()
+        return ((B + t1, A + t1) + shift(ga, A) + (A, -1)     # 9 cups, weight 9
+                + (C + t2, B + t2) + shift(gb, B) + (B, -1)   # 8 cups, weight 8
+                + shift(gc, C) + (C, -1))                     # 7 cups, weight 7
+    t, (x, fx, y, fy1, fy2, z, fz), gather = _steal5_template(l)
+    return (shift(gather, A)                                  # A's 8 cups on a_t
+            + (B + fx, B + x, B + x, A + t,
+               B + fy1, B + y, B + fy2, B + y, B + y, A + t)
+            + (A + t, -1)                                     # 13 cups, weight 13
+            + shift(gather, C)                                # C's 8 cups on c_t
+            + (B + t, C + t, B + fz, B + z, B + z, C + t)
+            + (C + t, -1))                                    # 11 cups, weight 11
+
+
 def plan_abc_triple(d: int, a_base: int, b_base: int, c_base: int,
-                    dims: Sequence[int]) -> list[tuple[int, int]]:
+                    dims: Sequence[int], out: Optional[array] = None) -> array:
     """Fragment for a chain triple of 3-cubes at levels l, l-1, l-2."""
     l = a_base.bit_count()
     if not (9 <= l <= 12):
@@ -355,30 +393,7 @@ def plan_abc_triple(d: int, a_base: int, b_base: int, c_base: int,
         raise CubeError("triple levels must descend by one")
     if (a_base ^ b_base).bit_count() != 1 or (b_base ^ c_base).bit_count() != 1:
         raise CubeError("triple bases must be chain neighbors")
-    ea = lambda rel: _embed(a_base, dims, rel)
-    eb = lambda rel: _embed(b_base, dims, rel)
-    ec = lambda rel: _embed(c_base, dims, rel)
-    moves: list[tuple[int, int]] = []
-    if l == 9:
-        t1, t2, ga, gb, gc = _abc9_template()
-        moves.append((eb(t1), ea(t1)))
-        moves += [(ea(u), ea(v)) for u, v in ga]
-        moves.append((ea(0), 0))                      # 9 cups, weight 9
-        moves.append((ec(t2), eb(t2)))
-        moves += [(eb(u), eb(v)) for u, v in gb]
-        moves.append((eb(0), 0))                      # 8 cups, weight 8
-        moves += [(ec(u), ec(v)) for u, v in gc]
-        moves.append((ec(0), 0))                      # 7 cups, weight 7
-    else:
-        t, (x, fx, y, fy1, fy2, z, fz), gather = _steal5_template(l)
-        moves += [(ea(u), ea(v)) for u, v in gather]  # A's 8 cups on a_t
-        moves += [(eb(fx), eb(x)), (eb(x), ea(t)),
-                  (eb(fy1), eb(y)), (eb(fy2), eb(y)), (eb(y), ea(t))]
-        moves.append((ea(t), 0))                      # 13 cups, weight 13
-        moves += [(ec(u), ec(v)) for u, v in gather]  # C's 8 cups on c_t
-        moves += [(eb(t), ec(t)), (eb(fz), eb(z)), (eb(z), ec(t))]
-        moves.append((ec(t), 0))                      # 11 cups, weight 11
-    return moves
+    return _emit(out, (a_base, b_base, c_base), dims, _abc_flat(l))
 
 
 # ------------------------------------------------------------- full assembly
@@ -392,10 +407,9 @@ class CubePlanResult:
     phase_moves: dict
 
 
-def _abc_loop(n: int, pool: set[int], dims: Sequence[int],
-              moves: list[tuple[int, int]]) -> list[int]:
-    """Consume chain triples from the pool, highest label first; returns
-    the labels that cannot join any triple (the reported gap)."""
+def _abc_loop(n: int, pool: set[int], dims: Sequence[int], out: array) -> list[int]:
+    """Append chain triples from the pool to `out`, highest label first;
+    returns the labels that cannot join any triple (the reported gap)."""
     unassigned: list[int] = []
     high = sorted((m for m in pool if m.bit_count() >= 9),
                   key=lambda m: (m.bit_count(), m), reverse=True)
@@ -413,51 +427,53 @@ def _abc_loop(n: int, pool: set[int], dims: Sequence[int],
             raise AssertionError("chain neighbors missing from the pool")
         removed.update((a, b, c))
         pool -= {a, b, c}
-        moves.extend(plan_abc_triple(n + 3, a, b, c, dims))
+        plan_abc_triple(n + 3, a, b, c, dims, out)
     return sorted(unassigned)
 
 
 def plan_cube(d: int) -> CubePlanResult:
-    """Plan stacking the all-ones Q^d onto the zero vertex.  Complete for
-    d <= 18; for d = 19 and 20 the level-9 3-cubes of the standard split
-    have no partners and are reported as unassigned."""
+    """Plan stacking the all-ones Q^d onto the zero vertex, written into
+    one flat move array.  Complete for d <= 19; for d = 20 the level-9
+    3-cubes of the standard split whose symmetric chain is only {level 8,
+    level 9} have no third cube to team up with and are reported as
+    unassigned."""
     if not 0 <= d <= 20:
         raise CubeError("plans are only constructed for 0 <= d <= 20")
-    moves: list[tuple[int, int]] = []
+    out = array("q")
     phases: dict[str, int] = {}
     unassigned: list[int] = []
 
     def phase(name: str, start: int) -> None:
-        phases[name] = phases.get(name, 0) + len(moves) - start
+        phases[name] = phases.get(name, 0) + (len(out) - start) // 2
 
     if d <= 6:
-        moves += _solve(0, tuple(range(d)))
-        phases["direct"] = len(moves)
+        _emit(out, (0,), tuple(range(d)), _solve(d, 0))
+        phases["direct"] = len(out) // 2
     elif d == 7:
         dims4 = (3, 4, 5, 6)
         for label in range(8):
-            start = len(moves)
+            start = len(out)
             if label.bit_count() <= 2:
-                moves += _solve(label, dims4)
+                _emit(out, (label,), dims4, _solve(4, label.bit_count()))
                 phase("low-4cubes", start)
             else:
-                moves += plan_level3_4cube(SubcubeHandle(label, dims4))
+                plan_level3_4cube(SubcubeHandle(label, dims4), out)
                 phase("level3-4cube", start)
     elif d <= 15:
         n = d - 3
         dims3 = (d - 3, d - 2, d - 1)
         pool = set(range(1 << n))
         if d >= 12:
-            start = len(moves)
-            unassigned = _abc_loop(n, pool, dims3, moves)
+            start = len(out)
+            unassigned = _abc_loop(n, pool, dims3, out)
             phase("chain-triples", start)
-        start = len(moves)
-        moves += plan_level4_3cubes(d)
+        start = len(out)
+        plan_level4_3cubes(d, out=out)
         pool = {m for m in pool if m.bit_count() != 4}
         phase("level4-3cubes", start)
-        start = len(moves)
+        start = len(out)
         for label in sorted(pool):
-            moves += _solve(label, dims3)
+            _emit(out, (label,), dims3, _solve(3, label.bit_count()))
         phase("base-3cubes", start)
     else:
         n4 = d - 4
@@ -465,27 +481,27 @@ def plan_cube(d: int) -> CubePlanResult:
         dims3 = (d - 3, d - 2, d - 1)
         n = d - 3
         pool3: set[int] = set()
-        start = len(moves)
+        start = len(out)
         for label in range(1 << n4):
             if label.bit_count() >= 12:
-                moves += plan_high_kcube(SubcubeHandle(label, dims4))
+                plan_high_kcube(SubcubeHandle(label, dims4), out)
             else:
                 pool3.add(label)
                 pool3.add(label | (1 << n4))
         phase("high-4cubes", start)
-        start = len(moves)
-        unassigned = _abc_loop(n, pool3, dims3, moves)
+        start = len(out)
+        unassigned = _abc_loop(n, pool3, dims3, out)
         phase("chain-triples", start)
-        start = len(moves)
-        moves += plan_level4_3cubes(d)
+        start = len(out)
+        plan_level4_3cubes(d, out=out)
         pool3 = {m for m in pool3 if m.bit_count() != 4}
         phase("level4-3cubes", start)
-        start = len(moves)
+        start = len(out)
         for label in sorted(pool3):
-            moves += _solve(label, dims3)
+            _emit(out, (label,), dims3, _solve(3, label.bit_count()))
         phase("base-3cubes", start)
 
-    plan = Plan(1 << d, 0, tuple(Move(a, b) for a, b in moves))
+    plan = Plan(1 << d, 0, out)
     return CubePlanResult(d, plan, not unassigned, tuple(unassigned), phases)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, Move, Plan, eccentricity, shells
+from .graphs import Graph, Plan, eccentricity, shells
 from .matching import BareGraph, Matching, augment, blossom_search
 
 
@@ -56,7 +56,7 @@ def plan_from_matching(g: Graph, r: int, m: Matching) -> Plan:
         raise ValueError(f"target {r} has eccentricity above 2")
     sh = shells(g, r)
     n2 = set(sh[2]) if len(sh) > 2 else set()
-    moves: list[Move] = []
+    moves: list[int] = []
     used: set[int] = {r}
     for x, y in m.sorted_edges():
         if y in n2:
@@ -65,16 +65,15 @@ def plan_from_matching(g: Graph, r: int, m: Matching) -> Plan:
             x, y = y, x
         else:
             continue   # pair without a distance-2 endpoint; handled as singles
-        moves.append(Move(x, y))
-        moves.append(Move(y, r))
+        moves += (x, y, y, r)
         used.add(x)
         used.add(y)
     singles = [z for z in range(g.n) if z not in used]
     for z in singles:
         if z in n2:
             raise ValueError(f"vertex {z} in N_2({r}) is not matched")
-        moves.append(Move(z, r))
-    return Plan(g.n, r, tuple(moves))
+        moves += (z, r)
+    return Plan(g.n, r, moves)
 
 
 def ecc2_plan(g: Graph, r: int) -> Optional[Plan]:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .graphs import (CubeBoard, Graph, Move, Plan, diameter, eccentricity,
+from .graphs import (CubeBoard, Graph, Plan, diameter, eccentricity,
                      shells)
 from .matching import Matching
 from .ecc2 import ecc2_decide, ecc2_plan, plan_from_matching
@@ -157,26 +157,27 @@ def generate(spec: FamilySpec) -> Graph:
 
 # ----------------------------------------------------------------- planners
 
-def _endpoint_moves(seq: Sequence[int]) -> list[Move]:
-    """Stack a fresh all-ones path, given as a vertex sequence, onto its
-    first vertex.  Requires dist(seq[i], seq[j]) = |i - j| in the host."""
+def _endpoint_moves(seq: Sequence[int]) -> list[int]:
+    """Flat moves stacking a fresh all-ones path, given as a vertex
+    sequence, onto its first vertex.  Requires dist(seq[i], seq[j]) =
+    |i - j| in the host."""
     if len(seq) <= 1:
         return []
     inner = list(reversed(seq[1:]))
-    return _endpoint_moves(inner) + [Move(seq[-1], seq[0])]
+    return _endpoint_moves(inner) + [seq[-1], seq[0]]
 
 
-def _stack_path_onto(seq: Sequence[int], j: int) -> list[Move]:
-    """Stack a fresh all-ones path onto seq[j] (any position)."""
-    moves: list[Move] = []
+def _stack_path_onto(seq: Sequence[int], j: int) -> list[int]:
+    """Flat moves stacking a fresh all-ones path onto seq[j] (any position)."""
+    moves: list[int] = []
     left = list(seq[:j])
     if left:
         moves += _endpoint_moves(left)           # pile at seq[0], distance j
-        moves.append(Move(left[0], seq[j]))
+        moves += (left[0], seq[j])
     right = list(reversed(seq[j + 1:]))
     if right:
         moves += _endpoint_moves(right)          # pile at seq[-1]
-        moves.append(Move(right[0], seq[j]))
+        moves += (right[0], seq[j])
     return moves
 
 
@@ -184,22 +185,22 @@ def plan_path_endpoint(n: int) -> Plan:
     """Stack the path 0..n-1 onto vertex 0 in exactly n-1 moves."""
     if n < 1:
         raise FamilyError("path needs n >= 1")
-    return Plan(n, 0, tuple(_endpoint_moves(list(range(n)))))
+    return Plan(n, 0, _endpoint_moves(list(range(n))))
 
 
 def plan_path(n: int, r: int) -> Plan:
     if not 0 <= r < n:
         raise FamilyError("target out of range")
-    moves: list[Move] = []
+    moves: list[int] = []
     left = list(range(r - 1, -1, -1))       # r-1 down to 0, far end last
     if left:
         moves += _endpoint_moves(list(reversed(left)))  # stack 0..r-1 onto 0
-        moves.append(Move(0, r))
+        moves += (0, r)
     right = list(range(r + 1, n))
     if right:
         moves += _endpoint_moves(list(reversed(right)))  # stack onto n-1
-        moves.append(Move(n - 1, r))
-    return Plan(n, r, tuple(moves))
+        moves += (n - 1, r)
+    return Plan(n, r, moves)
 
 
 def plan_cycle(n: int, r: int) -> Plan:
@@ -211,35 +212,35 @@ def plan_cycle(n: int, r: int) -> Plan:
         raise FamilyError("cycle needs n >= 3")
     m = n // 2
     rel = lambda i: (r + i) % n
-    moves: list[Move] = []
+    moves: list[int] = []
     arc1 = [rel(i) for i in range(m, 0, -1)]          # stacked onto rel(m)
     moves += _endpoint_moves(arc1)
-    moves.append(Move(rel(m), r))
+    moves += (rel(m), r)
     arc2 = [rel(i) for i in range(m + 1, n)]          # stacked onto rel(m+1)
     if arc2:
         moves += _endpoint_moves(arc2)
-        moves.append(Move(rel(m + 1), r))
-    return Plan(n, r, tuple(moves))
+        moves += (rel(m + 1), r)
+    return Plan(n, r, moves)
 
 
 def plan_spider(legs: Sequence[int]) -> Plan:
     """Stack a spider onto its root: each leg piles up on its leaf, then
     the whole pile jumps the leg length back to the root."""
     g = spider_graph(legs)
-    moves: list[Move] = []
+    moves: list[int] = []
     nxt = 1
     for length in legs:
         leg = list(range(nxt, nxt + length))
         nxt += length
         moves += _endpoint_moves(list(reversed(leg)))   # stack onto the leaf
-        moves.append(Move(leg[-1], 0))
-    return Plan(g.n, 0, tuple(moves))
+        moves += (leg[-1], 0)
+    return Plan(g.n, 0, moves)
 
 
 def plan_dominating(g: Graph, r: int) -> Plan:
     if set(g.adj[r]) | {r} != set(range(g.n)):
         raise FamilyError(f"vertex {r} is not dominating")
-    return Plan(g.n, r, tuple(Move(z, r) for z in range(g.n) if z != r))
+    return Plan(g.n, r, [x for z in range(g.n) if z != r for x in (z, r)])
 
 
 def multipartite_decide(sizes: Sequence[int], i: int) -> tuple[bool, Optional[Plan]]:
@@ -309,10 +310,10 @@ def plan_grid(m: int, k: int, r: tuple[int, int]) -> Plan:
         raise FamilyError("target out of range")
     if m == 1 or k == 1:
         plan = plan_path(max(m, k), a if k == 1 else b)
-        return Plan(m * k, plan.target, plan.moves)
+        return Plan(m * k, plan.target, plan.flat)
     vid = lambda x, y: y * m + x
     target = vid(a, b)
-    moves: list[Move] = []
+    moves: list[int] = []
     # Arms before donation: lists run from the cell next to r outward.
     arms = {
         "E": [vid(x, b) for x in range(a + 1, m)],
@@ -353,7 +354,7 @@ def plan_grid(m: int, k: int, r: tuple[int, int]) -> Plan:
             stages.append(1)
         for line, stage in zip(lines, stages):
             moves.extend(_stack_path_onto(line, stage))
-            moves.append(Move(line[stage], target))
+            moves.extend((line[stage], target))
 
     quadrant(+1, +1, "E")    # north-east steals the east arm's far cell
     quadrant(-1, +1, "N")
@@ -365,5 +366,5 @@ def plan_grid(m: int, k: int, r: tuple[int, int]) -> Plan:
         if not cells:
             continue
         moves.extend(_endpoint_moves(list(reversed(cells))))
-        moves.append(Move(cells[-1], target))
-    return Plan(m * k, target, tuple(moves))
+        moves += (cells[-1], target)
+    return Plan(m * k, target, moves)

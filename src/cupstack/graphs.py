@@ -7,9 +7,13 @@ provided the hop distance between the two equals the pile size.
 
 from __future__ import annotations
 
+import operator
+from array import array
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass
+from itertools import count
+from typing import Callable, Iterable, Optional
 
 
 class GraphError(ValueError):
@@ -209,30 +213,107 @@ class Configuration:
         return Configuration((1,) * n)
 
 
+class MoveView(Sequence):
+    """Read-only sequence of the moves of a flat [s0, d0, s1, d1, ...]
+    array; each Move is made when it is read."""
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, flat: array):
+        self._flat = flat
+
+    def __len__(self) -> int:
+        return len(self._flat) >> 1
+
+    def __getitem__(self, i: int) -> Move:
+        if not -len(self) <= i < len(self):
+            raise IndexError("move index out of range")
+        i %= len(self)
+        return Move(self._flat[2 * i], self._flat[2 * i + 1])
+
+    def __iter__(self):
+        it = iter(self._flat)
+        return map(Move, it, it)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, MoveView):
+            return self._flat == other._flat
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"MoveView({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class Plan:
+    """A move sequence stored as one flat int array [s0, d0, s1, d1, ...]
+    of 8 bytes per entry; `moves` reads it as Move objects."""
     n: int
     target: int
-    moves: tuple[Move, ...]
+    flat: array
     initial: Optional[Configuration] = None
+
+    def __post_init__(self):
+        if not (isinstance(self.flat, array) and self.flat.typecode == "q"):
+            object.__setattr__(self, "flat", array("q", self.flat))
+        if len(self.flat) % 2:
+            raise ValueError("flat move array has odd length")
+
+    @property
+    def moves(self) -> MoveView:
+        return MoveView(self.flat)
 
     def initial_config(self) -> Configuration:
         return self.initial if self.initial is not None else Configuration.all_ones(self.n)
 
     def to_json_dict(self) -> dict:
+        it = iter(self.flat)
         out: dict = {"n": self.n, "target": self.target,
-                     "moves": [[m.src, m.dst] for m in self.moves]}
+                     "moves": [[s, d] for s, d in zip(it, it)]}
         if self.initial is not None:
             out["initial"] = list(self.initial.counts)
         return out
 
     @staticmethod
-    def from_json_dict(data: dict) -> "Plan":
-        moves = tuple(Move(int(a), int(b)) for a, b in data["moves"])
+    def from_json_dict(data) -> "Plan":
+        """Build a plan from parsed JSON, accepting only JSON integers
+        (not floats, strings or booleans) as numbers."""
+        if not isinstance(data, dict):
+            raise ValueError("plan must be a JSON object")
+        for key in ("n", "target", "moves"):
+            if key not in data:
+                raise ValueError(f"plan has no {key!r}")
+        n = _json_int(data["n"], "n")
+        target = _json_int(data["target"], "target")
+        moves = data["moves"]
+        if not isinstance(moves, list):
+            raise ValueError("plan moves must be a list")
+        flat = array("q")
+        for i, mv in enumerate(moves):
+            if not (isinstance(mv, list) and len(mv) == 2
+                    and type(mv[0]) is int and type(mv[1]) is int):
+                raise ValueError(f"move {i}: expected [src, dst] as two integers, got {mv!r}")
+            try:
+                flat.extend(mv)
+            except OverflowError:
+                raise ValueError(f"move {i}: vertex out of range") from None
         initial = None
         if data.get("initial") is not None:
-            initial = Configuration(tuple(int(c) for c in data["initial"]))
-        return Plan(int(data["n"]), int(data["target"]), moves, initial)
+            counts = data["initial"]
+            if not isinstance(counts, list):
+                raise ValueError("plan initial must be a list")
+            initial = Configuration(tuple(_json_int(c, "initial count") for c in counts))
+        return Plan(n, target, flat, initial)
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:          # bool is a subclass of int
+        raise ValueError(f"plan {what} must be an integer, got {value!r}")
+    return value
 
 
 def legal_move(board, c: Configuration, mv: Move) -> bool:
@@ -265,27 +346,35 @@ class VerifyResult:
 
 def verify_plan(board, plan: Plan, initial: Optional[Configuration] = None) -> VerifyResult:
     """Replay a plan move by move; accept iff every move is legal and the
-    final configuration has every cup on the target."""
+    final configuration has every cup on the target.  One loop serves
+    every board: it walks the flat move array in (src, dst) pairs and asks
+    the board for distances."""
     config = initial if initial is not None else plan.initial_config()
-    if len(config.counts) != board.n:
+    n = board.n
+    if len(config.counts) != n:
         return VerifyResult(False, None, "initial configuration size mismatch")
+    if not 0 <= plan.target < n:
+        return VerifyResult(False, None, f"target {plan.target} out of range")
     counts = list(config.counts)
     total = sum(counts)
-    for i, mv in enumerate(plan.moves):
-        if not (0 <= mv.src < board.n and 0 <= mv.dst < board.n):
+    dist = board.dist
+    it = iter(plan.flat)
+    for i, src, dst in zip(count(), it, it):
+        if not (0 <= src < n and 0 <= dst < n):
             return VerifyResult(False, i, f"move {i}: vertex out of range")
-        pile = counts[mv.src]
+        pile = counts[src]
         if pile < 1:
-            return VerifyResult(False, i, f"move {i}: source {mv.src} empty")
-        if counts[mv.dst] < 1:
-            return VerifyResult(False, i, f"move {i}: destination {mv.dst} empty")
-        d = board.dist(mv.src, mv.dst)
+            return VerifyResult(False, i, f"move {i}: source {src} empty")
+        if counts[dst] < 1:
+            return VerifyResult(False, i, f"move {i}: destination {dst} empty")
+        d = dist(src, dst)
         if d != pile:
+            if src == dst:
+                return VerifyResult(False, i, f"move {i}: source and destination are both {src}")
             return VerifyResult(
-                False, i,
-                f"move {i}: pile {pile} at {mv.src} but dist({mv.src},{mv.dst})={d}")
-        counts[mv.dst] += pile
-        counts[mv.src] = 0
+                False, i, f"move {i}: pile {pile} at {src} but dist({src},{dst})={d}")
+        counts[dst] += pile
+        counts[src] = 0
     if counts[plan.target] != total:
         return VerifyResult(False, None, "final configuration not concentrated on target")
     return VerifyResult(True)

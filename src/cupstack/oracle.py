@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Configuration, Graph, Move, Plan
+from .graphs import Configuration, Graph, Plan
 
 DEFAULT_BUDGET = 10**7
 
@@ -111,7 +111,7 @@ def _search(g: Graph, c: Configuration, r: int, budget: int) -> OracleResult:
         visited.add(state)
         path.append((src, dst))
         if state == goal:
-            plan = Plan(n, r, tuple(Move(s, d) for s, d in path), initial)
+            plan = Plan(n, r, [v for move in path for v in move], initial)
             return OracleResult(True, plan, len(visited), pruned)
         stack.append(children(state))
     return OracleResult(False, None, len(visited), pruned)

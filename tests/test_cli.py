@@ -121,6 +121,20 @@ def test_verify_rejects_wrong_plan(tmp_path, capsys):
     assert code == 1 and data["accepted"] is False and data["step"] == 1
 
 
+@pytest.mark.parametrize("moves, index", [
+    ([[1.5, 0], [3.9, 2], ["2", "0"]], 0),     # int() would accept these
+    ([[1, 0], [3, 2], ["2", "0"]], 2),
+    ([[1, 0], [True, 2], [2, 0]], 1),
+])
+def test_verify_rejects_non_integer_plan(tmp_path, capsys, moves, index):
+    import pathlib
+    graph = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "p4.graph"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 4, "target": 0, "moves": moves}))
+    code, data, err = run(capsys, "verify", "-g", str(graph), "-p", str(bad))
+    assert code == 2 and data is None and f"move {index}" in err
+
+
 def test_plan_family_grid(capsys):
     code, data, _ = run(capsys, "plan", "--family", "grid",
                         "--params", "3", "3", "-r", "4")

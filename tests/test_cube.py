@@ -1,12 +1,16 @@
 """Symmetric chains, revolving-door order, subcube fragments, cube plans."""
 
+import hashlib
+import json
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
-from cupstack.graphs import Configuration, CubeBoard, Move, Plan, verify_plan
+from cupstack import cube
+from cupstack.graphs import Configuration, CubeBoard, Plan, verify_plan
 from cupstack.oracle import oracle_decide
-from cupstack.cube import (CubeError, SubcubeHandle, _embed, phi, plan_abc_triple,
+from cupstack.cube import (CubeError, SubcubeHandle, _offsets, phi, plan_abc_triple,
                            plan_cube, plan_high_kcube, plan_level3_4cube,
                            plan_level4_3cubes, plan_low_subcube,
                            revolving_door, scd, verify_cube_plan)
@@ -59,9 +63,9 @@ def test_phi_is_chain_predecessor():
             for a, b in zip(chain, chain[1:]):
                 pred[b] = a
         for mask in range(1 << n):
-            if 2 * mask.bit_count() > n:
+            if mask in pred:
                 assert phi(n, mask) == pred[mask]
-            else:
+            else:                      # chain bottom
                 with pytest.raises(ValueError):
                     phi(n, mask)
 
@@ -109,18 +113,22 @@ def replay_fragment(d: int, moves, vertices) -> None:
     counts[0] = 1
     for v in vertices:
         counts[v] = 1
-    plan = Plan(1 << d, 0, tuple(Move(a, b) for a, b in moves),
-                Configuration(tuple(counts)))
+    plan = Plan(1 << d, 0, moves, Configuration(tuple(counts)))
     assert verify_plan(CubeBoard(d), plan)
 
 
+def pairs(flat) -> list[tuple[int, int]]:
+    it = iter(flat)
+    return list(zip(it, it))
+
+
 def subcube_vertices(base: int, dims) -> list[int]:
-    return [_embed(base, dims, rel) for rel in range(1 << len(dims))]
+    return [base | off for off in _offsets(tuple(dims))]
 
 
 def test_low_subcube_k1_level0():
     moves = plan_low_subcube(SubcubeHandle(0b0, (0,)))
-    assert len(moves) == 1
+    assert pairs(moves) == [(1, 0)]
     replay_fragment(1, moves, [0, 1])
 
 
@@ -150,8 +158,8 @@ def test_low_subcube_all_placements_small():
 
 def test_high_kcube_level5_3cube():
     moves = plan_high_kcube(SubcubeHandle(0b11111, (5, 6, 7)))
-    assert len(moves) == 8            # 7 in-cube moves plus the jump
-    src, dst = moves[-1]
+    assert len(pairs(moves)) == 8     # 7 in-cube moves plus the jump
+    src, dst = pairs(moves)[-1]
     assert src.bit_count() == 8 and dst == 0
     replay_fragment(8, moves, subcube_vertices(0b11111, (5, 6, 7)))
 
@@ -159,8 +167,9 @@ def test_high_kcube_level5_3cube():
 def test_high_kcube_4cube_in_q16():
     base = sum(1 << i for i in range(12))
     moves = plan_high_kcube(SubcubeHandle(base, (12, 13, 14, 15)))
-    assert len(moves) == 16
-    assert moves[-1][0].bit_count() == 16 and moves[-1][1] == 0
+    assert len(pairs(moves)) == 16
+    src, dst = pairs(moves)[-1]
+    assert src.bit_count() == 16 and dst == 0
     replay_fragment(16, moves, subcube_vertices(base, (12, 13, 14, 15)))
 
 
@@ -170,8 +179,8 @@ def test_high_kcube_level16_forced_placement():
     base = (1 << 16) - 1
     dims = (16, 17, 18, 19)
     moves = plan_high_kcube(SubcubeHandle(base, dims))
-    assert moves[-1] == (base, 0)
-    assert _embed(base, dims, 0b1111) == (1 << 20) - 1
+    assert pairs(moves)[-1] == (base, 0)
+    assert base | _offsets(dims)[0b1111] == (1 << 20) - 1
 
 
 def test_high_kcube_level_window():
@@ -183,8 +192,8 @@ def test_level3_4cube_gadget():
     base = 0b111
     dims = (3, 4, 5, 6)
     moves = plan_level3_4cube(SubcubeHandle(base, dims))
-    assert len(moves) == 16           # each of the 16 cups moves exactly once
-    exits = [(a, b) for a, b in moves if b == 0]
+    assert len(pairs(moves)) == 16    # each of the 16 cups moves exactly once
+    exits = [(a, b) for a, b in pairs(moves) if b == 0]
     assert sorted(a.bit_count() for a, _ in exits) == [3, 6, 7]
     replay_fragment(7, moves, subcube_vertices(base, dims))
 
@@ -226,7 +235,7 @@ def test_abc_triple_levels():
         if l == 10:
             # the 13-cup jump from the top pile is the signature move
             assert any(src.bit_count() == 13 and dst == 0
-                       for src, dst in moves)
+                       for src, dst in pairs(moves))
 
 
 def test_abc_triple_contracts():
@@ -268,3 +277,31 @@ def test_plan_cube_rejects_out_of_range():
 
 def test_plan_cube_deterministic():
     assert plan_cube(9).plan.moves == plan_cube(9).plan.moves
+
+
+@pytest.mark.parametrize("d, digest", [
+    (7, "e42767e8c0455d56eb3c2c45a625494c868fb39c193f36bbbcac90a8e964ebe4"),
+    (13, "a92e0f8c13a594e1b9d00272ba570fba15cde27a9f5dbfdf62ab1c0d9431dc15"),
+    (16, "b3aef37c844c2527dab9e25c09fcdfeed313fbc36a4af5b55bdeb940b15feea0"),
+    (18, "f860ae711803a3b84fbcd01d24270e7b7dded8ebced7c2b82c1f4eda7073f006"),
+])
+def test_plan_cube_sequence_pinned(d, digest):
+    # Pinned SHA-256 of the JSON move list: the fragment templates must
+    # reproduce these plans move for move.
+    moves = json.dumps(plan_cube(d).plan.to_json_dict()["moves"])
+    assert hashlib.sha256(moves.encode()).hexdigest() == digest
+
+
+def test_plan_cube_memory_per_move():
+    # The plan is one flat array of 8-byte ints, 16 bytes per move; the
+    # peak while building it, from cold caches, stays under 64 per move.
+    for obj in vars(cube).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    tracemalloc.start()
+    try:
+        result = plan_cube(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * len(result.plan.moves)

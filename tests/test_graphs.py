@@ -165,37 +165,66 @@ def test_apply_move_conserves_cups_randomized():
 
 def test_verify_p4_plan():
     g = path_graph(4)
-    plan = Plan(4, 0, (Move(2, 1), Move(1, 3), Move(3, 0)))
+    plan = Plan(4, 0, [2, 1, 1, 3, 3, 0])
     assert verify_plan(g, plan)
 
 
 def test_verify_single_vertex_empty_plan():
-    assert verify_plan(path_graph(1), Plan(1, 0, ()))
+    assert verify_plan(path_graph(1), Plan(1, 0, []))
 
 
 def test_verify_rejects_with_step_and_reason():
     g = path_graph(3)
-    res = verify_plan(g, Plan(3, 0, (Move(1, 0), Move(2, 0))))
+    res = verify_plan(g, Plan(3, 0, [1, 0, 2, 0]))
     assert not res and res.step == 1 and "dist" in res.reason
+
+
+def test_verify_rejects_repeated_endpoint():
+    # Move cannot hold src == dst, but a flat plan can: the verifier
+    # rejects it with its step.
+    res = verify_plan(path_graph(3), Plan(3, 0, [1, 0, 2, 2]))
+    assert not res and res.step == 1 and "both 2" in res.reason
+
+
+def test_verify_rejects_out_of_range_vertex():
+    g = path_graph(3)
+    for bad in ([1, 0, 3, 0], [1, 0, -1, 0], [1, 0, 0, 3]):
+        res = verify_plan(g, Plan(3, 0, bad))
+        assert not res and res.step == 1 and "out of range" in res.reason
+    for target in (3, -1):
+        res = verify_plan(g, Plan(3, target, [1, 2, 2, 0]))
+        assert not res and res.step is None and "target" in res.reason
 
 
 def test_verify_rejects_unconcentrated_final_state():
     g = path_graph(3)
-    res = verify_plan(g, Plan(3, 0, (Move(1, 0),)))
+    res = verify_plan(g, Plan(3, 0, [1, 0]))
     assert not res and "not concentrated" in res.reason
 
 
 def test_verify_rejects_size_mismatch():
-    res = verify_plan(path_graph(3), Plan(3, 0, ()),
+    res = verify_plan(path_graph(3), Plan(3, 0, []),
                       initial=Configuration((1, 1)))
     assert not res and "size mismatch" in res.reason
 
 
 def test_plan_json_round_trip():
-    plan = Plan(4, 0, (Move(2, 1), Move(1, 3), Move(3, 0)),
-                Configuration((1, 1, 1, 1)))
+    plan = Plan(4, 0, [2, 1, 1, 3, 3, 0], Configuration((1, 1, 1, 1)))
     again = Plan.from_json_dict(plan.to_json_dict())
     assert again == plan
+    assert list(again.moves) == [Move(2, 1), Move(1, 3), Move(3, 0)]
+    assert again.moves[-1] == Move(3, 0) and len(again.moves) == 3
+
+
+def test_plan_from_json_rejects_non_integers():
+    good = {"n": 3, "target": 0, "moves": [[1, 0], [2, 0]]}
+    for key, value in (("n", 3.0), ("target", "0"), ("target", False),
+                       ("initial", [1, 1.5, 1])):
+        with pytest.raises(ValueError, match=f"plan {key}"):
+            Plan.from_json_dict({**good, key: value})
+    for bad in ([1.5, 0], ["2", "0"], [True, 0], [1, 0, 2], 7, [2**70, 0]):
+        with pytest.raises(ValueError, match="move 1"):
+            Plan.from_json_dict({**good, "moves": [[1, 0], bad]})
 
 
 # -------------------------------------------------------- partition verifier
