@@ -126,14 +126,11 @@ def _offsets(dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _emit(out: Optional[array], bases: Sequence[int], dims: Sequence[int],
+def _emit(out: array, bases: Sequence[int], dims: Sequence[int],
           template: Sequence[int]) -> array:
-    """Append a fragment template to `out` (a new flat array when None)
-    and return it: index i * 2^k + rel is the vertex at relative mask rel
-    of the subcube at bases[i], and -1, the last table entry, is the
-    target."""
-    if out is None:
-        out = array("q")
+    """Append a fragment template to `out` and return it: index
+    i * 2^k + rel is the vertex at relative mask rel of the subcube at
+    bases[i], and -1, the last table entry, is the target."""
     offs = _offsets(tuple(dims))
     table = [base | off for base in bases for off in offs]
     table.append(0)
@@ -171,22 +168,23 @@ def _solve(k: int, l: int) -> tuple[int, ...]:
     raise CubeError(f"level-{l} {k}-cube is not directly stackable")
 
 
-def plan_low_subcube(handle: SubcubeHandle, out: Optional[array] = None) -> array:
-    """Fragment for a k-cube with k <= 3; the level-4 3-cube is the one
-    excluded case (it needs a partner gadget).  Like every fragment, it
-    is appended to `out` (a new flat array when omitted), which is
-    returned."""
+def plan_low_subcube(handle: SubcubeHandle) -> array:
+    """Fragment for a k-cube with k <= 3, as a new flat array; the
+    level-4 3-cube is the one excluded case (it needs a partner
+    gadget)."""
     k = len(handle.free_dims)
     if k > 3:
         raise CubeError("plan_low_subcube handles k <= 3")
     if (k, handle.level) == (3, 4):
         raise CubeError("a level-4 3-cube cannot be stacked alone")
-    return _emit(out, (handle.base,), handle.free_dims, _solve(k, handle.level))
+    return _emit(array("q"), (handle.base,), handle.free_dims,
+                 _solve(k, handle.level))
 
 
-def plan_high_kcube(handle: SubcubeHandle, out: Optional[array] = None) -> array:
+def plan_high_kcube(handle: SubcubeHandle, out: array) -> array:
     """Fragment for a k-cube whose level is at least 2^k - k: gather the
-    whole cube on a weight-2^k vertex and jump."""
+    whole cube on a weight-2^k vertex and jump.  Like the gadget
+    fragments below, it is appended to `out`, which is returned."""
     k = len(handle.free_dims)
     l = handle.level
     if l < (1 << k) - k or l > (1 << k):
@@ -224,7 +222,7 @@ LEVEL3_4CUBE_GADGET: tuple[tuple[int, int], ...] = (
 _LEVEL3_4CUBE_FLAT = tuple(x for mv in LEVEL3_4CUBE_GADGET for x in mv)
 
 
-def plan_level3_4cube(handle: SubcubeHandle, out: Optional[array] = None) -> array:
+def plan_level3_4cube(handle: SubcubeHandle, out: array) -> array:
     """Fragment for a level-3 4-cube: piles of 3, 6, and 7 cups exit from
     vertices of matching weight."""
     if handle.level != 3 or len(handle.free_dims) != 4:
@@ -268,8 +266,8 @@ _PAIR_FLAT = _compile_gadget(PAIR_GADGET)
 _TRIPLE_FLAT = _compile_gadget(TRIPLE_GADGET)
 
 
-def plan_level4_3cubes(d: int, labels: Optional[Sequence[int]] = None,
-                       out: Optional[array] = None) -> array:
+def plan_level4_3cubes(d: int, out: array,
+                       labels: Optional[Sequence[int]] = None) -> array:
     """Fragment covering every level-4 3-cube of the standard split: the
     labels are paired along a revolving-door cycle, with one triple when
     the count is odd."""
@@ -282,8 +280,6 @@ def plan_level4_3cubes(d: int, labels: Optional[Sequence[int]] = None,
         expected = sorted(cycle)
         if sorted(labels) != expected:
             raise CubeError("labels must be exactly the level-4 labels")
-    if out is None:
-        out = array("q")
     idx = 0
     if len(cycle) % 2:
         u, v, w = cycle[0], cycle[1], cycle[2]
@@ -384,7 +380,7 @@ def _abc_flat(l: int) -> tuple[int, ...]:
 
 
 def plan_abc_triple(d: int, a_base: int, b_base: int, c_base: int,
-                    dims: Sequence[int], out: Optional[array] = None) -> array:
+                    dims: Sequence[int], out: array) -> array:
     """Fragment for a chain triple of 3-cubes at levels l, l-1, l-2."""
     l = a_base.bit_count()
     if not (9 <= l <= 12):
@@ -468,7 +464,7 @@ def plan_cube(d: int) -> CubePlanResult:
             unassigned = _abc_loop(n, pool, dims3, out)
             phase("chain-triples", start)
         start = len(out)
-        plan_level4_3cubes(d, out=out)
+        plan_level4_3cubes(d, out)
         pool = {m for m in pool if m.bit_count() != 4}
         phase("level4-3cubes", start)
         start = len(out)
@@ -493,7 +489,7 @@ def plan_cube(d: int) -> CubePlanResult:
         unassigned = _abc_loop(n, pool3, dims3, out)
         phase("chain-triples", start)
         start = len(out)
-        plan_level4_3cubes(d, out=out)
+        plan_level4_3cubes(d, out)
         pool3 = {m for m in pool3 if m.bit_count() != 4}
         phase("level4-3cubes", start)
         start = len(out)

@@ -369,8 +369,6 @@ def verify_plan(board, plan: Plan, initial: Optional[Configuration] = None) -> V
             return VerifyResult(False, i, f"move {i}: destination {dst} empty")
         d = dist(src, dst)
         if d != pile:
-            if src == dst:
-                return VerifyResult(False, i, f"move {i}: source and destination are both {src}")
             return VerifyResult(
                 False, i, f"move {i}: pile {pile} at {src} but dist({src},{dst})={d}")
         counts[dst] += pile

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import tracemalloc
+from array import array
 from itertools import combinations
 
 import pytest
@@ -157,7 +158,7 @@ def test_low_subcube_all_placements_small():
 
 
 def test_high_kcube_level5_3cube():
-    moves = plan_high_kcube(SubcubeHandle(0b11111, (5, 6, 7)))
+    moves = plan_high_kcube(SubcubeHandle(0b11111, (5, 6, 7)), array("q"))
     assert len(pairs(moves)) == 8     # 7 in-cube moves plus the jump
     src, dst = pairs(moves)[-1]
     assert src.bit_count() == 8 and dst == 0
@@ -166,7 +167,7 @@ def test_high_kcube_level5_3cube():
 
 def test_high_kcube_4cube_in_q16():
     base = sum(1 << i for i in range(12))
-    moves = plan_high_kcube(SubcubeHandle(base, (12, 13, 14, 15)))
+    moves = plan_high_kcube(SubcubeHandle(base, (12, 13, 14, 15)), array("q"))
     assert len(pairs(moves)) == 16
     src, dst = pairs(moves)[-1]
     assert src.bit_count() == 16 and dst == 0
@@ -178,20 +179,21 @@ def test_high_kcube_level16_forced_placement():
     # and the subcube's top vertex is the global all-ones vertex.
     base = (1 << 16) - 1
     dims = (16, 17, 18, 19)
-    moves = plan_high_kcube(SubcubeHandle(base, dims))
+    moves = plan_high_kcube(SubcubeHandle(base, dims), array("q"))
     assert pairs(moves)[-1] == (base, 0)
     assert base | _offsets(dims)[0b1111] == (1 << 20) - 1
 
 
 def test_high_kcube_level_window():
     with pytest.raises(CubeError):
-        plan_high_kcube(SubcubeHandle(0b11111111111, (12, 13, 14, 15)))
+        plan_high_kcube(SubcubeHandle(0b11111111111, (12, 13, 14, 15)),
+                        array("q"))
 
 
 def test_level3_4cube_gadget():
     base = 0b111
     dims = (3, 4, 5, 6)
-    moves = plan_level3_4cube(SubcubeHandle(base, dims))
+    moves = plan_level3_4cube(SubcubeHandle(base, dims), array("q"))
     assert len(pairs(moves)) == 16    # each of the 16 cups moves exactly once
     exits = [(a, b) for a, b in pairs(moves) if b == 0]
     assert sorted(a.bit_count() for a, _ in exits) == [3, 6, 7]
@@ -200,19 +202,19 @@ def test_level3_4cube_gadget():
 
 def test_level3_4cube_rejects_other_levels():
     with pytest.raises(CubeError):
-        plan_level3_4cube(SubcubeHandle(0b11, (3, 4, 5, 6)))
+        plan_level3_4cube(SubcubeHandle(0b11, (3, 4, 5, 6)), array("q"))
 
 
 def test_level4_gadgets_d8():
     # C(5,4) = 5 level-4 labels: one triple plus one pair.
-    moves = plan_level4_3cubes(8)
+    moves = plan_level4_3cubes(8, array("q"))
     labels = [sum(1 << (e - 1) for e in c) for c in revolving_door(5, 4)]
     vertices = [v for l in labels for v in subcube_vertices(l, (5, 6, 7))]
     replay_fragment(8, moves, vertices)
 
 
 def test_level4_gadgets_d9():
-    moves = plan_level4_3cubes(9)
+    moves = plan_level4_3cubes(9, array("q"))
     labels = [sum(1 << (e - 1) for e in c) for c in revolving_door(6, 4)]
     vertices = [v for l in labels for v in subcube_vertices(l, (6, 7, 8))]
     replay_fragment(9, moves, vertices)
@@ -228,7 +230,7 @@ def test_abc_triple_levels():
         b = phi(n, a)
         c = phi(n, b)
         dims = (d - 3, d - 2, d - 1)
-        moves = plan_abc_triple(d, a, b, c, dims)
+        moves = plan_abc_triple(d, a, b, c, dims, array("q"))
         vertices = [v for base in (a, b, c)
                     for v in subcube_vertices(base, dims)]
         replay_fragment(d, moves, vertices)
@@ -241,10 +243,10 @@ def test_abc_triple_levels():
 def test_abc_triple_contracts():
     dims = (9, 10, 11)
     with pytest.raises(CubeError):
-        plan_abc_triple(12, 0b111, 0b11, 0b1, dims)
+        plan_abc_triple(12, 0b111, 0b11, 0b1, dims, array("q"))
     a = (1 << 9) - 1
     with pytest.raises(CubeError):
-        plan_abc_triple(12, a, a >> 2, a >> 3, dims)
+        plan_abc_triple(12, a, a >> 2, a >> 3, dims, array("q"))
 
 
 # --------------------------------------------------------------- full plans

@@ -181,9 +181,9 @@ def test_verify_rejects_with_step_and_reason():
 
 def test_verify_rejects_repeated_endpoint():
     # Move cannot hold src == dst, but a flat plan can: the verifier
-    # rejects it with its step.
+    # rejects it with its step, as a pile that does not match dist 0.
     res = verify_plan(path_graph(3), Plan(3, 0, [1, 0, 2, 2]))
-    assert not res and res.step == 1 and "both 2" in res.reason
+    assert not res and res.step == 1 and "dist(2,2)=0" in res.reason
 
 
 def test_verify_rejects_out_of_range_vertex():
