@@ -2,6 +2,9 @@
 
 Exit codes: 0 = yes/accept, 1 = no/reject, 2 = usage or I/O error,
 3 = inconclusive (search budget exhausted).
+
+Only `graphs` and `oracle` load with this module; each handler imports
+the other layers it calls, so a process loads only its command's layers.
 """
 
 from __future__ import annotations
@@ -10,12 +13,9 @@ import argparse
 import json
 import os
 import sys
+from typing import Optional
 
-from . import cube as cube_mod
-from . import ecc2 as ecc2_mod
-from . import families
 from . import graphs
-from . import matching as matching_mod
 from . import oracle as oracle_mod
 
 EXIT_YES = 0
@@ -73,6 +73,7 @@ def _graph_to_dot(g: graphs.Graph) -> str:
 
 
 def _cmd_gen(args) -> int:
+    from . import families
     spec = families.FamilySpec(args.family, tuple(args.params))
     g = families.generate(spec)
     text = graphs.format_graph(g)
@@ -115,7 +116,8 @@ def _cmd_decide(args) -> int:
     if method == "dominating":
         out["stackable"] = True
     elif method == "ecc2":
-        w = ecc2_mod.ecc2_decide(g, r)
+        from . import ecc2
+        w = ecc2.ecc2_decide(g, r)
         out["stackable"] = w.decision
         if not w.decision:
             out["barrier"] = list(w.barrier)
@@ -134,9 +136,11 @@ def _cmd_decide(args) -> int:
 
 def _plan_for(g: graphs.Graph, r: int, method: str, budget: int):
     if method == "dominating":
+        from . import families
         return families.plan_dominating(g, r)
     if method == "ecc2":
-        return ecc2_mod.ecc2_plan(g, r)
+        from . import ecc2
+        return ecc2.ecc2_plan(g, r)
     res = oracle_mod.oracle_search(
         g, graphs.Configuration.all_ones(g.n), r, budget)
     if res.inconclusive:
@@ -147,7 +151,10 @@ def _plan_for(g: graphs.Graph, r: int, method: str, budget: int):
 def _cmd_plan(args) -> int:
     if args.family:
         plan = _family_plan(args)
-        g = None
+        if plan is None:
+            _emit({"family": args.family, "params": list(args.params),
+                   "plan": None, "complete": False}, args.pretty)
+            return EXIT_NO
     else:
         if not args.graph:
             raise ValueError("plan needs either -g or --family")
@@ -177,22 +184,26 @@ def _cmd_plan(args) -> int:
     return EXIT_YES
 
 
-def _family_plan(args) -> graphs.Plan:
+def _family_plan(args) -> Optional[graphs.Plan]:
+    """The family planner's plan; None when the cube planner leaves its
+    plan incomplete."""
     fam = args.family
     p = list(args.params)
-    r = args.target
+    r = args.target if args.target is not None else 0
+    if fam == "cube":
+        from . import cube
+        res = cube.plan_cube(p[0])
+        return res.plan if res.complete else None
+    from . import families
     if fam == "path":
-        return families.plan_path(p[0], r if r is not None else 0)
+        return families.plan_path(p[0], r)
     if fam == "cycle":
-        return families.plan_cycle(p[0], r if r is not None else 0)
+        return families.plan_cycle(p[0], r)
     if fam == "spider":
         return families.plan_spider(p)
     if fam == "grid":
         m, k = p[0], p[1]
-        r = r if r is not None else 0
         return families.plan_grid(m, k, (r % m, r // m))
-    if fam == "cube":
-        return cube_mod.plan_cube(p[0]).plan
     raise ValueError(f"no direct planner for family {fam!r}")
 
 
@@ -241,7 +252,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_ge(args) -> int:
     g = _load_graph(args.graph)
-    part = matching_mod.gallai_edmonds(matching_mod.BareGraph(g.n, g.edges()))
+    from . import matching
+    part = matching.gallai_edmonds(matching.BareGraph(g.n, g.edges()))
     _emit({"I": [list(c) for c in part.I_components],
            "A": list(part.A), "Z": list(part.Z)}, args.pretty)
     return EXIT_YES
@@ -252,7 +264,8 @@ def _mask_to_sorted(mask: int) -> list[int]:
 
 
 def _cmd_scd(args) -> int:
-    chains = cube_mod.scd(args.n)
+    from . import cube
+    chains = cube.scd(args.n)
     _emit({"n": args.n,
            "chains": [[_mask_to_sorted(m) for m in ch] for ch in chains]},
           args.pretty)
@@ -260,7 +273,8 @@ def _cmd_scd(args) -> int:
 
 
 def _cmd_gray(args) -> int:
-    seq = cube_mod.revolving_door(args.m, args.k)
+    from . import cube
+    seq = cube.revolving_door(args.m, args.k)
     if len(seq) < 3:
         raise ValueError("parameters too small for a genuine cycle")
     _emit({"m": args.m, "k": args.k,
@@ -271,7 +285,8 @@ def _cmd_gray(args) -> int:
 def _cmd_cube(args) -> int:
     if args.d >= 19 and not args.extended:
         raise ValueError("d >= 19 plans are gated behind --extended")
-    res = cube_mod.plan_cube(args.d)
+    from . import cube
+    res = cube.plan_cube(args.d)
     out = {"d": args.d, "moves": len(res.plan.moves),
            "complete": res.complete, "phases": res.phase_moves,
            "unassigned_labels": [_mask_to_sorted(m) for m in res.unassigned]}

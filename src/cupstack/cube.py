@@ -75,16 +75,47 @@ def scd(n: int) -> list[list[int]]:
     return chains
 
 
-def _phi_or_none(n: int, mask: int) -> Optional[int]:
-    ones, _ = _unmatched(n, mask)
-    return mask & ~(1 << ones[-1]) if ones else None
+def _walk_byte(b: int) -> tuple[int, int, int]:
+    """Bracket walk over the 8 bits of b, low bit first, +1 for a one and
+    -1 for a zero: (sum, best prefix, first position of the best)."""
+    total, best, pos = 0, -9, 0
+    for i in range(8):
+        total += 1 if b >> i & 1 else -1
+        if total > best:
+            best, pos = total, i
+    return total, best, pos
+
+
+_WALK = tuple(_walk_byte(b) for b in range(256))
+
+
+def _phi_or_none(mask: int) -> Optional[int]:
+    """Drop the last unmatched one of mask, or None if every one is
+    matched.  A one is unmatched exactly when the bracket walk reaches a
+    new maximum there, so the last one is where the walk first reaches
+    its maximum, if that is above 0; `_WALK` finds it a byte at a time.
+    Zeros above the top one only lower the walk, so n is not needed."""
+    run = best = base = 0
+    pos = -1
+    rest = mask
+    while rest:
+        total, top, at = _WALK[rest & 255]
+        if run + top > best:
+            best, pos = run + top, base + at
+        run += total
+        rest >>= 8
+        base += 8
+    return mask & ~(1 << pos) if pos >= 0 else None
 
 
 def phi(n: int, mask: int) -> int:
-    """Chain predecessor in the symmetric chain decomposition: drop the
-    last unmatched one (Greene-Kleitman bracket rule).  Every set but a
-    chain bottom has one."""
-    pred = _phi_or_none(n, mask)
+    """Chain predecessor in the symmetric chain decomposition of the
+    subsets of an n-element set: drop the last unmatched one
+    (Greene-Kleitman bracket rule).  Every set but a chain bottom has
+    one."""
+    if mask >> n:
+        raise ValueError(f"mask {mask} is not a subset of {n} elements")
+    pred = _phi_or_none(mask)
     if pred is None:
         raise ValueError("a chain bottom has no predecessor")
     return pred
@@ -413,8 +444,8 @@ def _abc_loop(n: int, pool: set[int], dims: Sequence[int], out: array) -> list[i
     for a in high:
         if a in removed:
             continue
-        b = _phi_or_none(n, a)
-        c = _phi_or_none(n, b) if b is not None else None
+        b = _phi_or_none(a)
+        c = _phi_or_none(b) if b is not None else None
         if b is None or c is None:
             pool.remove(a)
             unassigned.append(a)

@@ -80,20 +80,35 @@ class Graph:
         return self._dist
 
     def dist(self, u: int, v: int) -> int:
-        """Hop distance by a BFS from u that stops when it reaches v."""
+        """Hop distance: the matrix entry once `distances` has built it,
+        else a two-ended BFS.  Each step grows the smaller frontier by one
+        whole layer; the balls of radius `layers` split between u and v
+        stay disjoint until a new layer touches the other side, and then
+        the distance is `layers + 1`."""
+        if self._dist is not None:
+            return self._dist[u][v]
         if u == v:
             return 0
-        dist = [-1] * self.n
-        dist[u] = 0
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            for y in self.adj[x]:
-                if dist[y] < 0:
-                    if y == v:
-                        return dist[x] + 1
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
+        adj = self.adj
+        side = bytearray(self.n)        # 0 unseen, else the side's mark
+        side[u], side[v] = 1, 2
+        # `front` is the frontier to grow next, marked `mine`.
+        front, rest, mine, other = [u], [v], 1, 2
+        layers = 0
+        while front and rest:
+            if len(front) > len(rest):
+                front, rest, mine, other = rest, front, other, mine
+            grown = []
+            for x in front:
+                for y in adj[x]:
+                    s = side[y]
+                    if s == other:
+                        return layers + 1
+                    if not s:
+                        side[y] = mine
+                        grown.append(y)
+            front = grown
+            layers += 1
         raise GraphError(f"vertex {v} unreachable from {u}")
 
     def subgraph(self, vertices: Sequence[int]) -> tuple["Graph", dict[int, int]]:

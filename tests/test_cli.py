@@ -1,10 +1,18 @@
 """Command line frontend: exit codes, JSON output, file round trips."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from cupstack import cube, graphs
 from cupstack.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run(capsys, *argv):
@@ -127,8 +135,7 @@ def test_verify_rejects_wrong_plan(tmp_path, capsys):
     ([[1, 0], [True, 2], [2, 0]], 1),
 ])
 def test_verify_rejects_non_integer_plan(tmp_path, capsys, moves, index):
-    import pathlib
-    graph = pathlib.Path(__file__).resolve().parent.parent / "fixtures" / "p4.graph"
+    graph = FIXTURES / "p4.graph"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 4, "target": 0, "moves": moves}))
     code, data, err = run(capsys, "verify", "-g", str(graph), "-p", str(bad))
@@ -184,6 +191,30 @@ def test_cube_plan_and_verify(tmp_path, capsys):
     assert code == 0 and data["accepted"] is True
 
 
+def test_plan_family_cube_round_trip(tmp_path, capsys):
+    out = tmp_path / "q5.json"
+    code, data, _ = run(capsys, "plan", "--family", "cube", "--params", "5",
+                        "-o", str(out))
+    assert code == 0 and data["moves"] == 31
+    code, data, _ = run(capsys, "verify", "--cube", "5", "-p", str(out))
+    assert code == 0 and data["accepted"] is True
+
+
+def test_plan_family_cube_incomplete_is_no(tmp_path, capsys, monkeypatch):
+    # An incomplete cube plan is not a YES: exit 1, and no plan file that
+    # the verifier would reject.
+    real = cube.plan_cube(5)
+    incomplete = cube.CubePlanResult(
+        5, graphs.Plan(real.plan.n, 0, real.plan.flat[:-2]), False, (0b11,),
+        real.phase_moves)
+    monkeypatch.setattr(cube, "plan_cube", lambda d: incomplete)
+    out = tmp_path / "q5.json"
+    code, data, _ = run(capsys, "plan", "--family", "cube", "--params", "5",
+                        "-o", str(out))
+    assert code == 1 and data["complete"] is False and data["plan"] is None
+    assert not out.exists()
+
+
 def test_cube_d19_requires_extended(capsys):
     code, _, err = run(capsys, "cube", "-d", "19")
     assert code == 2 and "--extended" in err
@@ -201,18 +232,16 @@ def test_unknown_family_is_usage_error(capsys):
 
 
 def test_checked_in_fixtures(capsys):
-    import pathlib
-    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
     code, data, _ = run(capsys, "decide", "-g",
-                        str(fixtures / "petersen.graph"), "-r", "0",
+                        str(FIXTURES / "petersen.graph"), "-r", "0",
                         "--method", "ecc2")
     assert code == 0 and data["stackable"] is True
     code, data, _ = run(capsys, "decide", "-g",
-                        str(fixtures / "star3.graph"), "-r", "1",
+                        str(FIXTURES / "star3.graph"), "-r", "1",
                         "--method", "oracle")
     assert code == 1
-    code, data, _ = run(capsys, "verify", "-g", str(fixtures / "p4.graph"),
-                        "-p", str(fixtures / "p4.plan.json"))
+    code, data, _ = run(capsys, "verify", "-g", str(FIXTURES / "p4.graph"),
+                        "-p", str(FIXTURES / "p4.plan.json"))
     assert code == 0 and data["accepted"] is True
 
 
@@ -221,3 +250,30 @@ def test_bad_arguments_are_usage_errors(capsys):
     capsys.readouterr()
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+LOADED = ("import json, sys; from cupstack.cli import main; code = main(sys.argv[1:]); "
+          "print(json.dumps(sorted(m for m in sys.modules "
+          "if m.startswith('cupstack.')))); sys.exit(code)")
+
+
+def loaded_layers(tmp_path, *argv) -> set[str]:
+    """The cupstack submodules a fresh `cupstack` process loads."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, check=True)
+    return {m.split(".")[1] for m in json.loads(proc.stdout.splitlines()[-1])}
+
+
+@pytest.mark.parametrize("argv, own, foreign", [
+    (("verify", "-g", str(FIXTURES / "p4.graph"),
+      "-p", str(FIXTURES / "p4.plan.json")),
+     {"graphs"}, {"cube", "ecc2", "matching", "families"}),
+    (("cube", "-d", "8"), {"cube"}, {"ecc2", "matching", "families"}),
+    (("decide", "-g", str(FIXTURES / "petersen.graph"), "-r", "0"),
+     {"ecc2", "matching"}, {"cube", "families"}),
+])
+def test_command_loads_only_its_layers(tmp_path, argv, own, foreign):
+    layers = loaded_layers(tmp_path, *argv)
+    assert own <= layers and not layers & foreign

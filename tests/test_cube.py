@@ -71,6 +71,21 @@ def test_phi_is_chain_predecessor():
                     phi(n, mask)
 
 
+def test_phi_table_matches_bracket_scan():
+    # Every mask below 2^17, taken at its own width n (top bit n - 1):
+    # the byte table agrees with the bit-by-bit bracket scan.
+    for n in range(18):
+        for mask in range(1 << n >> 1, 1 << n):
+            ones, _ = cube._unmatched(n, mask)
+            expected = mask & ~(1 << ones[-1]) if ones else None
+            assert cube._phi_or_none(mask) == expected, (n, mask)
+
+
+def test_phi_rejects_mask_wider_than_n():
+    with pytest.raises(ValueError):
+        phi(3, 0b1000)
+
+
 def test_phi_injective_on_upper_sizes():
     images = [phi(5, m) for m in range(1 << 5) if m.bit_count() >= 3]
     assert len(images) == len(set(images)) == 16

@@ -10,9 +10,9 @@ from cupstack.graphs import (Configuration, CubeBoard, Graph, GraphError,
                              apply_move, diameter, eccentricity, format_graph,
                              legal_move, parse_graph, shells,
                              verify_partition, verify_plan)
-from cupstack.families import (complete_graph, cycle_graph, kneser_graph,
-                               path_graph, petersen_graph, spider_graph,
-                               star_graph)
+from cupstack.families import (complete_graph, cycle_graph, grid_graph,
+                               kneser_graph, path_graph, petersen_graph,
+                               plan_grid, spider_graph, star_graph)
 from cupstack.oracle import feasibility_oracle
 
 
@@ -88,6 +88,59 @@ def test_bfs_matrix_matches_floyd_warshall():
     for _ in range(60):
         g = random_connected_graph(rng, rng.randint(2, 9))
         assert g.distances() == floyd_warshall(g)
+
+
+def sparse_connected_graph(rng: random.Random, n: int) -> Graph:
+    """Random tree plus at most n extra edges: long, uneven distances."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(n, sorted(edges))
+
+
+def distance_graphs() -> list[Graph]:
+    rng = random.Random(20261018)
+    return ([path_graph(n) for n in (1, 2, 7)]
+            + [cycle_graph(n) for n in (3, 8, 11)]
+            + [grid_graph(9, 8), kneser_graph(7, 3)]
+            + [random_connected_graph(rng, rng.randint(2, 12)) for _ in range(20)]
+            + [sparse_connected_graph(rng, rng.randint(2, 40)) for _ in range(20)])
+
+
+def test_dist_matches_bfs_before_and_after_matrix():
+    # Two-ended BFS first, then the cached matrix on the same graph.
+    for g in distance_graphs():
+        rows = [g.bfs_from(u) for u in range(g.n)]
+        for _ in range(2):
+            assert [[g.dist(u, v) for v in range(g.n)]
+                    for u in range(g.n)] == rows
+            g.distances()
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_verify_reports_retargeted_grid_move(cached):
+    # Retarget one move of the 9x8 grid plan to a vertex that holds cups
+    # but lies at the wrong distance: the step and its exact distance.
+    g = grid_graph(9, 8)
+    plan = plan_grid(9, 8, (4, 3))
+    if cached:
+        g.distances()
+    flat = list(plan.flat)
+    i = len(flat) // 4
+    counts = [1] * g.n
+    for src, dst in zip(flat[0:2 * i:2], flat[1:2 * i:2]):
+        counts[dst] += counts[src]
+        counts[src] = 0
+    src, pile = flat[2 * i], counts[flat[2 * i]]
+    row = g.bfs_from(src)
+    dst = next(v for v in range(g.n)
+               if v != src and counts[v] and row[v] != pile)
+    flat[2 * i + 1] = dst
+    res = verify_plan(g, Plan(plan.n, plan.target, flat))
+    assert not res and res.step == i
+    assert res.reason == (f"move {i}: pile {pile} at {src} "
+                          f"but dist({src},{dst})={row[dst]}")
 
 
 # ------------------------------------------------------- shells and diameter
