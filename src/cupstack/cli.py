@@ -1,7 +1,8 @@
 """Command line frontend.
 
 Exit codes: 0 = yes/accept, 1 = no/reject, 2 = usage or I/O error,
-3 = inconclusive (search budget exhausted).
+3 = inconclusive (search budget exhausted), 4 = internal error (a fault
+in cupstack itself; the traceback goes to stderr).
 
 Only `graphs` and `oracle` load with this module; each handler imports
 the other layers it calls, so a process loads only its command's layers.
@@ -13,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional
 
 from . import graphs
 from . import oracle as oracle_mod
@@ -22,6 +22,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 BUDGET_ENV = "CUPSTACK_ORACLE_BUDGET"
 
@@ -74,8 +75,7 @@ def _graph_to_dot(g: graphs.Graph) -> str:
 
 def _cmd_gen(args) -> int:
     from . import families
-    spec = families.FamilySpec(args.family, tuple(args.params))
-    g = families.generate(spec)
+    g = families.family(args.family, args.params).generate(*args.params)
     text = graphs.format_graph(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -141,37 +141,44 @@ def _plan_for(g: graphs.Graph, r: int, method: str, budget: int):
     if method == "ecc2":
         from . import ecc2
         return ecc2.ecc2_plan(g, r)
-    res = oracle_mod.oracle_search(
+    return oracle_mod.oracle_plan(
         g, graphs.Configuration.all_ones(g.n), r, budget)
-    if res.inconclusive:
-        raise oracle_mod.BudgetExhausted("budget exhausted")
-    return res.plan
 
 
 def _cmd_plan(args) -> int:
+    """A family with a planner uses it (target 0 unless -r says
+    otherwise); any other family is generated and planned like a graph
+    file."""
+    r = args.target
+    g = None
     if args.family:
-        plan = _family_plan(args)
-        if plan is None:
-            _emit({"family": args.family, "params": list(args.params),
-                   "plan": None, "complete": False}, args.pretty)
-            return EXIT_NO
-    else:
-        if not args.graph:
-            raise ValueError("plan needs either -g or --family")
+        from . import families
+        fam = families.family(args.family, args.params)
+        r = 0 if r is None else r
+        if fam.plan is None:
+            g = fam.generate(*args.params)
+        else:
+            plan = fam.plan(args.params, r)
+            if plan is None:
+                _emit({"family": args.family, "params": list(args.params),
+                       "plan": None, "complete": False}, args.pretty)
+                return EXIT_NO
+    elif args.graph:
         g = _load_graph(args.graph)
-        r = args.target
+    else:
+        raise ValueError("plan needs either -g or --family")
+    if g is not None:
         if r is None or not 0 <= r < g.n:
             raise ValueError("plan needs a valid -r target")
-        method = _choose_method(g, r, args.method)
         try:
-            plan = _plan_for(g, r, method, args.budget)
+            plan = _plan_for(g, r, _choose_method(g, r, args.method),
+                             args.budget)
         except oracle_mod.BudgetExhausted:
             _emit({"target": r, "plan": None,
                    "inconclusive": "budget exhausted"}, args.pretty)
             return EXIT_INCONCLUSIVE
     if plan is None:
-        _emit({"target": args.target, "plan": None, "stackable": False},
-              args.pretty)
+        _emit({"target": r, "plan": None, "stackable": False}, args.pretty)
         return EXIT_NO
     data = plan.to_json_dict()
     if args.output:
@@ -182,29 +189,6 @@ def _cmd_plan(args) -> int:
     else:
         _emit(data, args.pretty)
     return EXIT_YES
-
-
-def _family_plan(args) -> Optional[graphs.Plan]:
-    """The family planner's plan; None when the cube planner leaves its
-    plan incomplete."""
-    fam = args.family
-    p = list(args.params)
-    r = args.target if args.target is not None else 0
-    if fam == "cube":
-        from . import cube
-        res = cube.plan_cube(p[0])
-        return res.plan if res.complete else None
-    from . import families
-    if fam == "path":
-        return families.plan_path(p[0], r)
-    if fam == "cycle":
-        return families.plan_cycle(p[0], r)
-    if fam == "spider":
-        return families.plan_spider(p)
-    if fam == "grid":
-        m, k = p[0], p[1]
-        return families.plan_grid(m, k, (r % m, r // m))
-    raise ValueError(f"no direct planner for family {fam!r}")
 
 
 def _cmd_verify(args) -> int:
@@ -283,8 +267,6 @@ def _cmd_gray(args) -> int:
 
 
 def _cmd_cube(args) -> int:
-    if args.d >= 19 and not args.extended:
-        raise ValueError("d >= 19 plans are gated behind --extended")
     from . import cube
     res = cube.plan_cube(args.d)
     out = {"d": args.d, "moves": len(res.plan.moves),
@@ -295,7 +277,7 @@ def _cmd_cube(args) -> int:
         out["verified"] = bool(ver)
         if not ver:
             out["reason"] = ver.reason
-    if args.output:
+    if args.output and res.complete:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(res.plan.to_json_dict()))
         out["output"] = args.output
@@ -340,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-r", "--target", type=int)
     p.add_argument("--method", choices=["auto", "oracle", "ecc2"],
                    default="auto")
-    p.add_argument("--family", help="use a family planner instead of a file")
+    p.add_argument("--family", help="plan a family graph instead of a file")
     p.add_argument("--params", nargs="*", type=int, default=[])
     budget_arg(p)
     p.add_argument("-o", "--output", help="plan JSON file to write")
@@ -373,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cube", help="hypercube stacking plan")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--extended", action="store_true")
     p.add_argument("-o", "--output", help="plan JSON file to write")
     common(p, graph=False)
 
@@ -393,10 +374,14 @@ def main(argv=None) -> int:
         return _HANDLERS[args.cmd](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_YES
-    except (ValueError, OSError, json.JSONDecodeError, KeyError,
-            IndexError, TypeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        import traceback
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

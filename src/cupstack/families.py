@@ -1,15 +1,12 @@
-"""Generators and constructive planners for the stackable graph families."""
+"""Generators and constructive planners for the stackable graph families,
+and `FAMILIES`, the table that names them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .graphs import (CubeBoard, Graph, Plan, diameter, eccentricity,
-                     shells)
-from .matching import Matching
-from .ecc2 import ecc2_decide, ecc2_plan, plan_from_matching
+from .graphs import CubeBoard, Graph, Plan, diameter, eccentricity
 
 
 class FamilyError(ValueError):
@@ -122,49 +119,25 @@ def cube_graph(d: int) -> Graph:
     return CubeBoard(d).to_graph()
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    params: tuple[int, ...] = ()
-
-
-def generate(spec: FamilySpec) -> Graph:
-    fam, p = spec.family, spec.params
-    if fam == "path":
-        return path_graph(*p)
-    if fam == "cycle":
-        return cycle_graph(*p)
-    if fam == "spider":
-        return spider_graph(p)
-    if fam == "complete":
-        return complete_graph(*p)
-    if fam == "multipartite":
-        return multipartite_graph(p)
-    if fam == "star":
-        return star_graph(*p)
-    if fam == "kneser":
-        return kneser_graph(*p)
-    if fam == "petersen":
-        return petersen_graph()
-    if fam == "johnson":
-        return johnson_graph(*p)
-    if fam == "grid":
-        return grid_graph(*p)
-    if fam == "cube":
-        return cube_graph(*p)
-    raise FamilyError(f"unknown family {fam!r}")
-
-
 # ----------------------------------------------------------------- planners
 
 def _endpoint_moves(seq: Sequence[int]) -> list[int]:
     """Flat moves stacking a fresh all-ones path, given as a vertex
     sequence, onto its first vertex.  Requires dist(seq[i], seq[j]) =
-    |i - j| in the host."""
-    if len(seq) <= 1:
-        return []
-    inner = list(reversed(seq[1:]))
-    return _endpoint_moves(inner) + [seq[-1], seq[0]]
+    |i - j| in the host.
+
+    A window is stacked onto its near end by first stacking the rest of
+    it onto its far end, then jumping that pile back; so the windows
+    alternate direction, each one shorter at the near end.  The moves are
+    written back to front, the outermost window's jump last."""
+    out = [0] * max(2 * len(seq) - 2, 0)
+    near, far = 0, len(seq) - 1
+    i = len(out)
+    while i:
+        i -= 2
+        out[i], out[i + 1] = seq[far], seq[near]
+        near, far = far, near + (1 if far > near else -1)
+    return out
 
 
 def _stack_path_onto(seq: Sequence[int], j: int) -> list[int]:
@@ -191,36 +164,20 @@ def plan_path_endpoint(n: int) -> Plan:
 def plan_path(n: int, r: int) -> Plan:
     if not 0 <= r < n:
         raise FamilyError("target out of range")
-    moves: list[int] = []
-    left = list(range(r - 1, -1, -1))       # r-1 down to 0, far end last
-    if left:
-        moves += _endpoint_moves(list(reversed(left)))  # stack 0..r-1 onto 0
-        moves += (0, r)
-    right = list(range(r + 1, n))
-    if right:
-        moves += _endpoint_moves(list(reversed(right)))  # stack onto n-1
-        moves += (n - 1, r)
-    return Plan(n, r, moves)
+    return Plan(n, r, _stack_path_onto(range(n), r))
 
 
 def plan_cycle(n: int, r: int) -> Plan:
-    """Split the cycle at the far side of r into two arcs and stack each
-    arc onto the arc endpoint whose distance to r equals the arc size."""
+    """Cut the cycle open at the far side of r and stack the resulting
+    path onto r: each arc piles up on its far end, whose distance to r
+    equals the arc size."""
     if not 0 <= r < n:
         raise FamilyError("target out of range")
     if n < 3:
         raise FamilyError("cycle needs n >= 3")
     m = n // 2
-    rel = lambda i: (r + i) % n
-    moves: list[int] = []
-    arc1 = [rel(i) for i in range(m, 0, -1)]          # stacked onto rel(m)
-    moves += _endpoint_moves(arc1)
-    moves += (rel(m), r)
-    arc2 = [rel(i) for i in range(m + 1, n)]          # stacked onto rel(m+1)
-    if arc2:
-        moves += _endpoint_moves(arc2)
-        moves += (rel(m + 1), r)
-    return Plan(n, r, moves)
+    arc = [(r + i) % n for i in range(m, m - n, -1)]   # r sits at index m
+    return Plan(n, r, _stack_path_onto(arc, m))
 
 
 def plan_spider(legs: Sequence[int]) -> Plan:
@@ -247,6 +204,7 @@ def multipartite_decide(sizes: Sequence[int], i: int) -> tuple[bool, Optional[Pl
     """Closed-form decision for a complete multipartite target: part i is
     stackable iff its size is at most (n+1)/2.  A plan is produced when
     the decision is positive."""
+    from .ecc2 import ecc2_plan
     if not 0 <= i < len(sizes):
         raise FamilyError("part index out of range")
     n = sum(sizes)
@@ -267,6 +225,8 @@ def plan_ham_ecc2(g: Graph, r: int, hampath: Sequence[int]) -> Plan:
     """Plan for an eccentricity-2 target from a Hamiltonian path: match
     consecutive vertices along the two half-paths on either side of r,
     leaving only neighbors of r unmatched."""
+    from .ecc2 import plan_from_matching
+    from .matching import Matching
     if sorted(hampath) != list(range(g.n)):
         raise FamilyError("sequence is not a permutation of the vertices")
     for a, b in zip(hampath, hampath[1:]):
@@ -288,6 +248,7 @@ def kneser_stackable(m: int, k: int) -> tuple[Optional[bool], Optional[Graph]]:
     """Decide stackability of the Kneser graph K(m, k).  Proven range:
     m >= 3k-1 >= 5 plus (5, 2).  In the unresolved band 2k+1 <= m <= 3k-2
     the answer is reported as unknown rather than guessed."""
+    from .ecc2 import ecc2_decide
     if k < 1 or m < 2 * k + 1:
         raise FamilyError("kneser graph needs m >= 2k+1")
     if not ((m >= 3 * k - 1 and 3 * k - 1 >= 5) or (m, k) == (5, 2)):
@@ -368,3 +329,62 @@ def plan_grid(m: int, k: int, r: tuple[int, int]) -> Plan:
         moves.extend(_endpoint_moves(list(reversed(cells))))
         moves += (cells[-1], target)
     return Plan(m * k, target, moves)
+
+
+# ------------------------------------------------------------------ registry
+
+def _plan_spider(legs: Sequence[int], r: int) -> Plan:
+    if r != 0:
+        raise FamilyError("spider plans stack onto the root, vertex 0")
+    return plan_spider(legs)
+
+
+def _plan_grid(p: Sequence[int], r: int) -> Plan:
+    m, k = p
+    if m < 1 or k < 1:
+        raise FamilyError("grid dimensions must be positive")
+    return plan_grid(m, k, (r % m, r // m))
+
+
+def _plan_cube(p: Sequence[int], r: int) -> Optional[Plan]:
+    """The hypercube plan onto vertex 0; None when it is incomplete."""
+    if r != 0:
+        raise FamilyError("cube plans stack onto vertex 0")
+    from .cube import plan_cube
+    res = plan_cube(p[0])
+    return res.plan if res.complete else None
+
+
+class Family(NamedTuple):
+    count: Optional[int]                # number of parameters; None: any
+    generate: Callable[..., Graph]      # called with the parameters
+    plan: Optional[Callable[[Sequence[int], int], Optional[Plan]]]
+
+
+# The one family dispatch, read by `gen` and `plan --family`.  A family
+# without a planner is planned like any other graph file.
+FAMILIES: dict[str, Family] = {
+    "path": Family(1, path_graph, lambda p, r: plan_path(p[0], r)),
+    "cycle": Family(1, cycle_graph, lambda p, r: plan_cycle(p[0], r)),
+    "spider": Family(None, lambda *legs: spider_graph(legs), _plan_spider),
+    "complete": Family(1, complete_graph, None),
+    "multipartite": Family(None, lambda *sizes: multipartite_graph(sizes),
+                           None),
+    "star": Family(1, star_graph, None),
+    "kneser": Family(2, kneser_graph, None),
+    "petersen": Family(0, petersen_graph, None),
+    "johnson": Family(3, johnson_graph, None),
+    "grid": Family(2, grid_graph, _plan_grid),
+    "cube": Family(1, cube_graph, _plan_cube),
+}
+
+
+def family(name: str, params: Sequence[int]) -> Family:
+    """The table entry for `name`, once `params` has the right length."""
+    fam = FAMILIES.get(name)
+    if fam is None:
+        raise FamilyError(f"unknown family {name!r}")
+    if fam.count is not None and len(params) != fam.count:
+        raise FamilyError(f"family {name!r} takes {fam.count} parameters, "
+                          f"got {len(params)}")
+    return fam

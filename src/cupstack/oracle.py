@@ -147,12 +147,3 @@ def oracle_stackable(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, Option
     """Per-target decision from the all-ones configuration."""
     ones = Configuration.all_ones(g.n)
     return {r: oracle_decide(g, ones, r, budget) for r in range(g.n)}
-
-
-def feasibility_oracle(g: Graph, c: Configuration, r: int,
-                       budget: int = DEFAULT_BUDGET) -> Optional[Plan]:
-    """Feasibility backend for partition verification: a plan or None."""
-    res = oracle_search(g, c, r, budget)
-    if res.inconclusive:
-        raise BudgetExhausted(f"budget of {budget} states exhausted")
-    return res.plan if res.decision else None

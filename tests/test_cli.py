@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from cupstack import cube, graphs
-from cupstack.cli import main
+from cupstack import cube, families, graphs
+from cupstack.cli import EXIT_INTERNAL, main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -200,14 +200,18 @@ def test_plan_family_cube_round_trip(tmp_path, capsys):
     assert code == 0 and data["accepted"] is True
 
 
-def test_plan_family_cube_incomplete_is_no(tmp_path, capsys, monkeypatch):
-    # An incomplete cube plan is not a YES: exit 1, and no plan file that
-    # the verifier would reject.
+def make_cube_plans_incomplete(monkeypatch):
     real = cube.plan_cube(5)
     incomplete = cube.CubePlanResult(
         5, graphs.Plan(real.plan.n, 0, real.plan.flat[:-2]), False, (0b11,),
         real.phase_moves)
     monkeypatch.setattr(cube, "plan_cube", lambda d: incomplete)
+
+
+def test_plan_family_cube_incomplete_is_no(tmp_path, capsys, monkeypatch):
+    # An incomplete cube plan is not a YES: exit 1, and no plan file that
+    # the verifier would reject.
+    make_cube_plans_incomplete(monkeypatch)
     out = tmp_path / "q5.json"
     code, data, _ = run(capsys, "plan", "--family", "cube", "--params", "5",
                         "-o", str(out))
@@ -215,9 +219,85 @@ def test_plan_family_cube_incomplete_is_no(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_cube_d19_requires_extended(capsys):
-    code, _, err = run(capsys, "cube", "-d", "19")
-    assert code == 2 and "--extended" in err
+def test_cube_incomplete_writes_no_plan_file(tmp_path, capsys, monkeypatch):
+    make_cube_plans_incomplete(monkeypatch)
+    out = tmp_path / "q5.json"
+    code, data, _ = run(capsys, "cube", "-d", "5", "-o", str(out))
+    assert code == 1 and data["complete"] is False and "output" not in data
+    assert not out.exists()
+
+
+def test_cube_d19_runs_ungated(capsys):
+    code, data, _ = run(capsys, "cube", "-d", "19")
+    assert code == 0 and data["complete"] and data["moves"] == 2**19 - 1
+
+
+# A small instance of every family, stackable at vertex 0.
+SMALL = {
+    "path": (5,), "cycle": (6,), "spider": (1, 2, 3), "complete": (4,),
+    "multipartite": (2, 3), "star": (3,), "kneser": (5, 2), "petersen": (),
+    "johnson": (5, 2, 1), "grid": (3, 4), "cube": (3,),
+}
+
+
+def test_small_instances_cover_every_family():
+    assert SMALL.keys() == families.FAMILIES.keys()
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_gen_and_plan_every_family(tmp_path, capsys, name):
+    params = list(map(str, SMALL[name]))
+    graph = gen(tmp_path, capsys, name, *params)
+    plan = tmp_path / "plan.json"
+    code, data, _ = run(capsys, "plan", "--family", name, "--params", *params,
+                        "-r", "0", "-o", str(plan))
+    assert code == 0 and data["target"] == 0
+    code, data, _ = run(capsys, "verify", "-g", graph, "-p", str(plan))
+    assert code == 0 and data["accepted"] is True
+
+
+@pytest.mark.parametrize("name", sorted(n for n, f in families.FAMILIES.items()
+                                        if f.count is not None))
+def test_wrong_parameter_count_is_usage_error(capsys, name):
+    params = ["2"] * (families.FAMILIES[name].count + 1)
+    for argv in (["gen", name, *params],
+                 ["plan", "--family", name, "--params", *params]):
+        code, data, err = run(capsys, *argv)
+        assert code == 2 and data is None and repr(name) in err
+
+
+@pytest.mark.parametrize("n, r", [(1200, 0), (5000, 2500)])
+def test_long_path_plan_verifies(tmp_path, capsys, n, r):
+    graph = gen(tmp_path, capsys, "path", n)
+    plan = tmp_path / "plan.json"
+    code, data, _ = run(capsys, "plan", "--family", "path", "--params", str(n),
+                        "-r", str(r), "-o", str(plan))
+    assert code == 0 and data["moves"] == n - 1
+    code, data, _ = run(capsys, "verify", "-g", graph, "-p", str(plan))
+    assert code == 0 and data["accepted"] is True
+
+
+@pytest.mark.parametrize("name, params", [("spider", ["1", "2"]),
+                                          ("cube", ["3"])])
+def test_root_only_planners_reject_other_targets(tmp_path, capsys, name,
+                                                 params):
+    out = tmp_path / "plan.json"
+    code, data, err = run(capsys, "plan", "--family", name, "--params",
+                          *params, "-r", "3", "-o", str(out))
+    assert code == 2 and data is None and "vertex 0" in err
+    assert not out.exists()
+
+
+def test_internal_fault_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(p, r):
+        raise IndexError("planner bug")
+    monkeypatch.setitem(families.FAMILIES, "grid",
+                        families.FAMILIES["grid"]._replace(plan=broken))
+    code, data, err = run(capsys, "plan", "--family", "grid",
+                          "--params", "3", "3", "-r", "4")
+    assert code == EXIT_INTERNAL == 4 and data is None
+    assert err.startswith("internal error:") and "Traceback" in err
+    assert "planner bug" in err
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -273,6 +353,9 @@ def loaded_layers(tmp_path, *argv) -> set[str]:
     (("cube", "-d", "8"), {"cube"}, {"ecc2", "matching", "families"}),
     (("decide", "-g", str(FIXTURES / "petersen.graph"), "-r", "0"),
      {"ecc2", "matching"}, {"cube", "families"}),
+    (("gen", "path", "4"), {"families"}, {"cube", "ecc2", "matching"}),
+    (("plan", "--family", "grid", "--params", "4", "4", "-r", "0"),
+     {"families"}, {"cube", "ecc2", "matching"}),
 ])
 def test_command_loads_only_its_layers(tmp_path, argv, own, foreign):
     layers = loaded_layers(tmp_path, *argv)

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from cupstack.graphs import Configuration, verify_plan
-from cupstack.families import (FamilyError, FamilySpec, complete_graph,
-                               cycle_graph, generate, grid_graph,
+from cupstack.families import (FamilyError, _endpoint_moves, complete_graph,
+                               cycle_graph, family, grid_graph,
                                johnson_graph, kneser_graph, kneser_stackable,
                                multipartite_decide, multipartite_graph,
                                path_graph, petersen_graph, plan_cycle,
@@ -53,18 +53,40 @@ def test_generator_contracts():
         multipartite_graph([3])
     with pytest.raises(FamilyError):
         johnson_graph(5, 4, 4)
-    with pytest.raises(FamilyError):
-        generate(FamilySpec("moebius", (5,)))
 
 
 def test_generate_dispatch():
-    assert generate(FamilySpec("petersen")).n == 10
-    assert generate(FamilySpec("grid", (3, 4))).n == 12
-    assert generate(FamilySpec("cube", (3,))).n == 8
-    assert generate(FamilySpec("spider", (1, 2, 2))).n == 6
+    for name, params, n in [("petersen", (), 10), ("grid", (3, 4), 12),
+                            ("cube", (3,), 8), ("spider", (1, 2, 2), 6),
+                            ("multipartite", (2, 3), 5)]:
+        assert family(name, params).generate(*params).n == n
+    with pytest.raises(FamilyError, match="moebius"):
+        family("moebius", (5,))
+    with pytest.raises(FamilyError, match="'grid' takes 2"):
+        family("grid", (4,))
 
 
 # ---------------------------------------------------------------- path plans
+
+def _endpoint_moves_reference(seq):
+    """The recursive definition: stack seq[1:] onto seq[-1], then jump."""
+    if len(seq) <= 1:
+        return []
+    return _endpoint_moves_reference(seq[:0:-1]) + [seq[-1], seq[0]]
+
+
+def test_endpoint_moves_match_recursive_reference():
+    for n in range(201):
+        seq = random.Random(n).sample(range(1000), n)
+        assert _endpoint_moves(seq) == _endpoint_moves_reference(seq)
+
+
+def test_long_path_plans_need_no_recursion():
+    n = 20000            # far past the interpreter's recursion limit
+    for plan in (plan_path(n, n // 3), plan_cycle(n, 5), plan_spider([n - 1]),
+                 plan_grid(1, n, (0, 7))):
+        assert plan.n == n and len(plan.moves) == n - 1
+
 
 def test_path_endpoint_examples():
     assert plan_path_endpoint(1).moves == ()

@@ -13,7 +13,7 @@ from cupstack.graphs import (Configuration, CubeBoard, Graph, GraphError,
 from cupstack.families import (complete_graph, cycle_graph, grid_graph,
                                kneser_graph, path_graph, petersen_graph,
                                plan_grid, spider_graph, star_graph)
-from cupstack.oracle import feasibility_oracle
+from cupstack.oracle import oracle_plan
 
 
 # ------------------------------------------------------------------- parsing
@@ -295,14 +295,14 @@ def test_partition_three_path_parts():
         StackingPart((5, 6, 7, 8), (1, 1, 1, 1), 8),
         StackingPart((9, 10, 11, 12), (0, 1, 1, 1), 11),
     ))
-    assert verify_partition(g, c, 0, p, feasibility_oracle)
+    assert verify_partition(g, c, 0, p, oracle_plan)
 
 
 def test_partition_single_part_path():
     g = path_graph(5)
     p = StackingPartition(0, (StackingPart((1, 2, 3, 4), (1, 1, 1, 1), 4),))
     assert verify_partition(g, Configuration.all_ones(5), 0, p,
-                            feasibility_oracle)
+                            oracle_plan)
 
 
 def test_partition_rejects_overlap():
@@ -312,7 +312,7 @@ def test_partition_rejects_overlap():
         StackingPart((2, 3), (1, 1), 2),
     ))
     res = verify_partition(g, Configuration.all_ones(4), 0, p,
-                           feasibility_oracle)
+                           oracle_plan)
     assert not res and "property 2" in res.reason
 
 
@@ -320,7 +320,7 @@ def test_partition_rejects_bad_staging_distance():
     g = path_graph(4)
     p = StackingPartition(0, (StackingPart((1, 2, 3), (1, 1, 1), 1),))
     res = verify_partition(g, Configuration.all_ones(4), 0, p,
-                           feasibility_oracle)
+                           oracle_plan)
     assert not res and "property 3" in res.reason
 
 
@@ -328,5 +328,5 @@ def test_partition_rejects_missing_cover():
     g = path_graph(4)
     p = StackingPartition(0, (StackingPart((1, 2), (1, 1), 2),))
     res = verify_partition(g, Configuration((1, 1, 1, 0)), 0, p,
-                           feasibility_oracle)
+                           oracle_plan)
     assert not res and "property 1" in res.reason
