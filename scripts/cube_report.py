@@ -11,7 +11,8 @@ import argparse
 import tracemalloc
 from time import perf_counter
 
-from cupstack.cube import plan_cube, verify_cube_plan
+from cupstack.cube import plan_cube
+from cupstack.graphs import CubeBoard, verify_plan
 
 
 def main() -> None:
@@ -40,7 +41,7 @@ def main() -> None:
                f"{len(res.unassigned):>11} {t_plan:>7.2f} {peak / 2**20:>8.1f}")
         if args.verify:
             t0 = perf_counter()
-            ok = verify_cube_plan(res)
+            ok = bool(verify_plan(CubeBoard(d), res.plan))
             row += f" {str(ok):>9} {perf_counter() - t0:>9.2f}"
         print(row)
         if res.unassigned:

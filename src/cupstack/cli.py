@@ -96,53 +96,40 @@ def _cmd_gen(args) -> int:
     return EXIT_YES
 
 
-def _choose_method(g: graphs.Graph, r: int, method: str) -> str:
-    if method != "auto":
-        return method
-    if set(g.adj[r]) | {r} == set(range(g.n)):
-        return "dominating"
-    if graphs.eccentricity(g, r) == 2:
-        return "ecc2"
-    return "oracle"
+def _solve(g: graphs.Graph, r: int, budget: int):
+    """The one decision path: a target of eccentricity at most 2 goes to
+    the matching test (a dominating target needs the empty matching),
+    any other to the exhaustive search.  Returns (method, stackable,
+    plan, barrier); stackable is None when the search budget ran out."""
+    if not 0 <= r < g.n:
+        raise ValueError(f"target {r} out of range")
+    if graphs.eccentricity(g, r) <= 2:
+        from . import ecc2
+        w = ecc2.ecc2_decide(g, r)
+        if not w.decision:
+            return "ecc2", False, None, w.barrier
+        return "ecc2", True, ecc2.plan_from_matching(g, r, w.matching), None
+    res = oracle_mod.oracle_search(
+        g, graphs.Configuration.all_ones(g.n), r, budget)
+    return "oracle", res.decision, res.plan, None
+
+
+def _exit_code(stackable) -> int:
+    if stackable is None:
+        return EXIT_INCONCLUSIVE
+    return EXIT_YES if stackable else EXIT_NO
 
 
 def _cmd_decide(args) -> int:
-    g = _load_graph(args.graph)
-    r = args.target
-    if not 0 <= r < g.n:
-        raise ValueError(f"target {r} out of range")
-    method = _choose_method(g, r, args.method)
-    out = {"target": r, "method": method}
-    if method == "dominating":
-        out["stackable"] = True
-    elif method == "ecc2":
-        from . import ecc2
-        w = ecc2.ecc2_decide(g, r)
-        out["stackable"] = w.decision
-        if not w.decision:
-            out["barrier"] = list(w.barrier)
-    else:
-        dec = oracle_mod.oracle_decide(
-            g, graphs.Configuration.all_ones(g.n), r, args.budget)
-        if dec is None:
-            out["stackable"] = None
-            out["inconclusive"] = "budget exhausted"
-            _emit(out, args.pretty)
-            return EXIT_INCONCLUSIVE
-        out["stackable"] = dec
+    method, stackable, _, barrier = _solve(_load_graph(args.graph),
+                                           args.target, args.budget)
+    out = {"target": args.target, "method": method, "stackable": stackable}
+    if barrier is not None:
+        out["barrier"] = list(barrier)
+    if stackable is None:
+        out["inconclusive"] = "budget exhausted"
     _emit(out, args.pretty)
-    return EXIT_YES if out["stackable"] else EXIT_NO
-
-
-def _plan_for(g: graphs.Graph, r: int, method: str, budget: int):
-    if method == "dominating":
-        from . import families
-        return families.plan_dominating(g, r)
-    if method == "ecc2":
-        from . import ecc2
-        return ecc2.ecc2_plan(g, r)
-    return oracle_mod.oracle_plan(
-        g, graphs.Configuration.all_ones(g.n), r, budget)
+    return _exit_code(stackable)
 
 
 def _cmd_plan(args) -> int:
@@ -168,12 +155,10 @@ def _cmd_plan(args) -> int:
     else:
         raise ValueError("plan needs either -g or --family")
     if g is not None:
-        if r is None or not 0 <= r < g.n:
-            raise ValueError("plan needs a valid -r target")
-        try:
-            plan = _plan_for(g, r, _choose_method(g, r, args.method),
-                             args.budget)
-        except oracle_mod.BudgetExhausted:
+        if r is None:
+            raise ValueError("plan needs a -r target")
+        _, stackable, plan, _ = _solve(g, r, args.budget)
+        if stackable is None:
             _emit({"target": r, "plan": None,
                    "inconclusive": "budget exhausted"}, args.pretty)
             return EXIT_INCONCLUSIVE
@@ -221,17 +206,13 @@ def _cmd_oracle(args) -> int:
         initial = graphs.Configuration(counts)
     res = oracle_mod.oracle_search(g, initial, r, args.budget)
     out = {"target": r, "states": res.states, "pruned": res.pruned,
-           "rejected_by": res.rejected_by}
+           "rejected_by": res.rejected_by, "stackable": res.decision}
     if res.inconclusive:
-        out["stackable"] = None
         out["inconclusive"] = "budget exhausted"
-        _emit(out, args.pretty)
-        return EXIT_INCONCLUSIVE
-    out["stackable"] = res.decision
-    if res.decision and args.plan:
+    elif res.decision and args.plan:
         out["moves"] = res.plan.to_json_dict()["moves"]
     _emit(out, args.pretty)
-    return EXIT_YES if res.decision else EXIT_NO
+    return _exit_code(res.decision)
 
 
 def _cmd_ge(args) -> int:
@@ -313,15 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide stackability of a target")
     common(p)
     p.add_argument("-r", "--target", type=int, required=True)
-    p.add_argument("--method", choices=["auto", "oracle", "ecc2"],
-                   default="auto")
     budget_arg(p)
 
     p = sub.add_parser("plan", help="produce a stacking plan")
     common(p)
     p.add_argument("-r", "--target", type=int)
-    p.add_argument("--method", choices=["auto", "oracle", "ecc2"],
-                   default="auto")
     p.add_argument("--family", help="plan a family graph instead of a file")
     p.add_argument("--params", nargs="*", type=int, default=[])
     budget_arg(p)

@@ -471,7 +471,9 @@ def plan_cube(d: int) -> CubePlanResult:
     unassigned: list[int] = []
 
     def phase(name: str, start: int) -> None:
-        phases[name] = phases.get(name, 0) + (len(out) - start) // 2
+        """Count the moves since `start`; a phase with none is left out."""
+        if len(out) > start:
+            phases[name] = phases.get(name, 0) + (len(out) - start) // 2
 
     if d <= 6:
         _emit(out, (0,), tuple(range(d)), _solve(d, 0))
@@ -486,14 +488,25 @@ def plan_cube(d: int) -> CubePlanResult:
             else:
                 plan_level3_4cube(SubcubeHandle(label, dims4), out)
                 phase("level3-4cube", start)
-    elif d <= 15:
+    else:
+        # 4-cubes of level 12 and up (d >= 16) exit whole; the rest split
+        # into 3-cube pairs along the first 4-cube dimension.  Chain
+        # triples start at d = 12, the first d with a level-9 3-cube.
         n = d - 3
-        dims3 = (d - 3, d - 2, d - 1)
-        pool = set(range(1 << n))
-        if d >= 12:
-            start = len(out)
-            unassigned = _abc_loop(n, pool, dims3, out)
-            phase("chain-triples", start)
+        dims4 = (d - 4, d - 3, d - 2, d - 1)
+        dims3 = dims4[1:]
+        pool: set[int] = set()
+        start = len(out)
+        for label in range(1 << (n - 1)):
+            if label.bit_count() >= 12:
+                plan_high_kcube(SubcubeHandle(label, dims4), out)
+            else:
+                pool.add(label)
+                pool.add(label | (1 << (n - 1)))
+        phase("high-4cubes", start)
+        start = len(out)
+        unassigned = _abc_loop(n, pool, dims3, out)
+        phase("chain-triples", start)
         start = len(out)
         plan_level4_3cubes(d, out)
         pool = {m for m in pool if m.bit_count() != 4}
@@ -502,36 +515,6 @@ def plan_cube(d: int) -> CubePlanResult:
         for label in sorted(pool):
             _emit(out, (label,), dims3, _solve(3, label.bit_count()))
         phase("base-3cubes", start)
-    else:
-        n4 = d - 4
-        dims4 = (d - 4, d - 3, d - 2, d - 1)
-        dims3 = (d - 3, d - 2, d - 1)
-        n = d - 3
-        pool3: set[int] = set()
-        start = len(out)
-        for label in range(1 << n4):
-            if label.bit_count() >= 12:
-                plan_high_kcube(SubcubeHandle(label, dims4), out)
-            else:
-                pool3.add(label)
-                pool3.add(label | (1 << n4))
-        phase("high-4cubes", start)
-        start = len(out)
-        unassigned = _abc_loop(n, pool3, dims3, out)
-        phase("chain-triples", start)
-        start = len(out)
-        plan_level4_3cubes(d, out)
-        pool3 = {m for m in pool3 if m.bit_count() != 4}
-        phase("level4-3cubes", start)
-        start = len(out)
-        for label in sorted(pool3):
-            _emit(out, (label,), dims3, _solve(3, label.bit_count()))
-        phase("base-3cubes", start)
 
     plan = Plan(1 << d, 0, out)
     return CubePlanResult(d, plan, not unassigned, tuple(unassigned), phases)
-
-
-def verify_cube_plan(result: CubePlanResult) -> bool:
-    from .graphs import verify_plan
-    return bool(verify_plan(CubeBoard(result.d), result.plan))

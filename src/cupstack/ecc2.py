@@ -1,11 +1,13 @@
-"""Polynomial decision for eccentricity-2 targets, and plan extraction.
+"""Polynomial decision for targets of eccentricity at most 2, and plan
+extraction.
 
-A target r with eccentricity 2 is reachable by every cup iff G - r has a
-matching saturating the distance-2 shell N_2(r).  Starting from the
-empty matching, one blossom search from each uncovered s in N_2(r)
-either reaches an exposed vertex (augment) or an outer vertex outside
-N_2(r) (swap: that vertex gives up its mate), and so covers s while
-keeping every covered N_2(r) vertex covered.  A search that gets stuck
+A target r with eccentricity at most 2 is reachable by every cup iff
+G - r has a matching saturating the distance-2 shell N_2(r); a
+dominating target has an empty shell, so the empty matching does.
+Starting from the empty matching, one blossom search from each uncovered
+s in N_2(r) either reaches an exposed vertex (augment) or an outer
+vertex outside N_2(r) (swap: that vertex gives up its mate), and so
+covers s while keeping every covered N_2(r) vertex covered.  A search that gets stuck
 proves the answer is no: its inner vertices X form a barrier, because
 its outer blossoms are |X| + 1 odd components of (G - r) - X that lie
 inside N_2(r), and each needs its own matching edge into X.
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph, Plan, eccentricity, shells
+from .graphs import Graph, Plan, shells
 from .matching import BareGraph, Matching, augment, blossom_search
 
 
@@ -27,10 +29,16 @@ class Ecc2Witness:
     barrier: Optional[tuple[int, ...]]     # refutes every such matching iff not decision
 
 
+def _shell2(g: Graph, r: int) -> list[int]:
+    """N_2(r), once r is known to have eccentricity at most 2."""
+    sh = shells(g, r)
+    if len(sh) > 3:
+        raise ValueError(f"target {r} has eccentricity above 2")
+    return sh[2] if len(sh) == 3 else []
+
+
 def ecc2_decide(g: Graph, r: int) -> Ecc2Witness:
-    if eccentricity(g, r) != 2:
-        raise ValueError(f"target {r} does not have eccentricity 2")
-    n2 = shells(g, r)[2]
+    n2 = _shell2(g, r)
     # G - r on the original labels: r stays as an isolated vertex.
     adj = BareGraph(g.n, [e for e in g.edges() if r not in e]).adj
     spare = set(range(g.n)).difference(n2)
@@ -52,10 +60,7 @@ def plan_from_matching(g: Graph, r: int, m: Matching) -> Plan:
     """Turn an N_2(r)-saturating matching into an explicit plan: matched
     pairs feed two cups to r over distance 2, everything else walks in.
     Dominating targets are the degenerate case with an empty shell."""
-    if eccentricity(g, r) > 2:
-        raise ValueError(f"target {r} has eccentricity above 2")
-    sh = shells(g, r)
-    n2 = set(sh[2]) if len(sh) > 2 else set()
+    n2 = set(_shell2(g, r))
     moves: list[int] = []
     used: set[int] = {r}
     for x, y in m.sorted_edges():
@@ -87,11 +92,4 @@ def diam2_decide(g: Graph) -> dict[int, Ecc2Witness]:
     from .graphs import diameter
     if diameter(g) != 2:
         raise ValueError("graph does not have diameter 2")
-    out: dict[int, Ecc2Witness] = {}
-    for r in range(g.n):
-        if eccentricity(g, r) == 1:
-            # Dominating target: every cup is one step away.
-            out[r] = Ecc2Witness(True, Matching(frozenset()), None)
-        else:
-            out[r] = ecc2_decide(g, r)
-    return out
+    return {r: ecc2_decide(g, r) for r in range(g.n)}

@@ -194,12 +194,6 @@ def plan_spider(legs: Sequence[int]) -> Plan:
     return Plan(g.n, 0, moves)
 
 
-def plan_dominating(g: Graph, r: int) -> Plan:
-    if set(g.adj[r]) | {r} != set(range(g.n)):
-        raise FamilyError(f"vertex {r} is not dominating")
-    return Plan(g.n, r, [x for z in range(g.n) if z != r for x in (z, r)])
-
-
 def multipartite_decide(sizes: Sequence[int], i: int) -> tuple[bool, Optional[Plan]]:
     """Closed-form decision for a complete multipartite target: part i is
     stackable iff its size is at most (n+1)/2.  A plan is produced when
@@ -211,11 +205,7 @@ def multipartite_decide(sizes: Sequence[int], i: int) -> tuple[bool, Optional[Pl
     decision = 2 * sizes[i] <= n + 1
     if not decision:
         return False, None
-    g = multipartite_graph(sizes)
-    r = sum(sizes[:i])
-    if sizes[i] == 1:
-        return True, plan_dominating(g, r)
-    plan = ecc2_plan(g, r)
+    plan = ecc2_plan(multipartite_graph(sizes), sum(sizes[:i]))
     if plan is None:
         raise AssertionError("closed form and matching decision disagree")
     return True, plan

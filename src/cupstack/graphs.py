@@ -13,7 +13,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class GraphError(ValueError):
@@ -111,14 +111,6 @@ class Graph:
             layers += 1
         raise GraphError(f"vertex {v} unreachable from {u}")
 
-    def subgraph(self, vertices: Sequence[int]) -> tuple["Graph", dict[int, int]]:
-        """Induced subgraph; returns it with the old->new vertex map."""
-        order = sorted(vertices)
-        remap = {v: i for i, v in enumerate(order)}
-        sub_edges = [(remap[u], remap[v]) for u, v in self.edges()
-                     if u in remap and v in remap]
-        return Graph(len(order), sub_edges), remap
-
 
 class CubeBoard:
     """Distance backend for the hypercube Q^d: vertices are bitmasks and
@@ -201,14 +193,9 @@ def diameter(g: Graph) -> int:
     return max(eccentricity(g, v) for v in range(g.n))
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
+class Move(NamedTuple):
     src: int
     dst: int
-
-    def __post_init__(self):
-        if self.src == self.dst:
-            raise ValueError("move endpoints must differ")
 
 
 @dataclass(frozen=True)
@@ -339,6 +326,8 @@ def legal_move(board, c: Configuration, mv: Move) -> bool:
 
 
 def apply_move(c: Configuration, mv: Move) -> Configuration:
+    if mv.src == mv.dst:
+        raise ValueError("move endpoints must differ")
     if c.counts[mv.src] < 1:
         raise ValueError(f"source {mv.src} has no cup")
     if c.counts[mv.dst] < 1:
@@ -431,6 +420,7 @@ class StackingPart:
     vertices: tuple[int, ...]
     cups: tuple[int, ...]        # cup counts aligned with vertices
     staging: int                 # vertex the part stacks onto
+    moves: Sequence[int] = ()    # flat [s0, d0, ...] stacking it there
 
 
 @dataclass(frozen=True)
@@ -439,18 +429,14 @@ class StackingPartition:
     parts: tuple[StackingPart, ...]
 
 
-FeasibilityOracle = Callable[[Graph, Configuration, int], Optional[Plan]]
-
-
 def verify_partition(g: Graph, c: Configuration, r: int,
-                     p: StackingPartition,
-                     feasibility_oracle: FeasibilityOracle) -> VerifyResult:
-    """Check the four defining properties of a stacking partition:
-    (1) the part vertex sets cover V - {r}, (2) the sub-configurations are
-    disjoint and sum to the cups off r, (3) each part stacks onto its
-    staging vertex whose distance to r equals its cup total, and (4) the
-    within-part plan only uses moves whose endpoint distance inside the
-    part equals the distance in the host graph."""
+                     p: StackingPartition) -> VerifyResult:
+    """Check the defining properties of a stacking partition: (1) the
+    part vertex sets cover V - {r}, (2) the sub-configurations are
+    disjoint and sum to the cups off r, and (3) each part stacks onto its
+    staging vertex, whose distance to r equals its cup total.  For (3)
+    each part's moves must stay inside the part; they are replayed with
+    host distances, followed by the jump from staging to r."""
     if p.target != r:
         return VerifyResult(False, None, "partition target mismatch")
     covered: set[int] = set()
@@ -475,24 +461,21 @@ def verify_partition(g: Graph, c: Configuration, r: int,
             return VerifyResult(
                 False, idx,
                 f"part {idx}: dist(staging, target) != cup total (property 3)")
-        try:
-            sub, remap = g.subgraph(part.vertices)
-        except GraphError:
-            return VerifyResult(False, idx, f"part {idx}: induced subgraph disconnected")
-        sub_counts = [0] * sub.n
-        for v, cups in zip(part.vertices, part.cups):
-            sub_counts[remap[v]] = cups
-        sub_config = Configuration(tuple(sub_counts))
-        sub_plan = feasibility_oracle(sub, sub_config, remap[part.staging])
-        if sub_plan is None:
+        if len(part.moves) % 2:
             return VerifyResult(
-                False, idx, f"part {idx}: not stackable onto staging vertex (property 3)")
-        if not verify_plan(sub, sub_plan, sub_config):
-            return VerifyResult(False, idx, f"part {idx}: feasibility plan invalid")
-        inverse = {i: v for v, i in remap.items()}
-        for mv in sub_plan.moves:
-            if sub.dist(mv.src, mv.dst) != g.dist(inverse[mv.src], inverse[mv.dst]):
-                return VerifyResult(
-                    False, idx,
-                    f"part {idx}: within-part move distance differs from host distance (property 4)")
+                False, idx, f"part {idx}: odd-length move list (property 3)")
+        outside = set(part.moves).difference(part.vertices)
+        if outside:
+            return VerifyResult(
+                False, idx, f"part {idx}: a move leaves the part at vertex "
+                f"{min(outside)} (property 3)")
+        counts = [0] * g.n
+        counts[r] = c.counts[r]         # the jump needs a cup to land on
+        for v, cups in zip(part.vertices, part.cups):
+            counts[v] = cups
+        res = verify_plan(g, Plan(g.n, r, [*part.moves, part.staging, r],
+                                  Configuration(tuple(counts))))
+        if not res:
+            return VerifyResult(
+                False, idx, f"part {idx}: {res.reason} (property 3)")
     return VerifyResult(True)

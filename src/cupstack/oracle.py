@@ -31,10 +31,6 @@ from .graphs import Configuration, Graph, Plan
 DEFAULT_BUDGET = 10**7
 
 
-class BudgetExhausted(Exception):
-    """The state budget ran out before the search was complete."""
-
-
 @dataclass(frozen=True)
 class OracleResult:
     decision: Optional[bool]     # None means inconclusive
@@ -130,20 +126,8 @@ def oracle_search(g: Graph, c: Configuration, r: int,
     return _search(g, c, r, budget)
 
 
-def oracle_decide(g: Graph, c: Configuration, r: int,
-                  budget: int = DEFAULT_BUDGET) -> Optional[bool]:
-    return oracle_search(g, c, r, budget).decision
-
-
-def oracle_plan(g: Graph, c: Configuration, r: int,
-                budget: int = DEFAULT_BUDGET) -> Optional[Plan]:
-    res = oracle_search(g, c, r, budget)
-    if res.inconclusive:
-        raise BudgetExhausted(f"budget of {budget} states exhausted")
-    return res.plan
-
-
 def oracle_stackable(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, Optional[bool]]:
     """Per-target decision from the all-ones configuration."""
     ones = Configuration.all_ones(g.n)
-    return {r: oracle_decide(g, ones, r, budget) for r in range(g.n)}
+    return {r: oracle_search(g, ones, r, budget).decision
+            for r in range(g.n)}

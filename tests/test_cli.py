@@ -3,6 +3,8 @@
 import json
 import os
 import pathlib
+import shlex
+import shutil
 import subprocess
 import sys
 
@@ -50,29 +52,41 @@ def test_gen_stdout_mode(capsys):
 
 def test_decide_petersen_ecc2(tmp_path, capsys):
     path = gen(tmp_path, capsys, "petersen")
-    code, data, _ = run(capsys, "decide", "-g", path, "-r", "0",
-                        "--method", "ecc2")
+    code, data, _ = run(capsys, "decide", "-g", path, "-r", "0")
     assert code == 0 and data["stackable"] is True
+    assert data["method"] == "ecc2"
 
 
 def test_decide_star_leaf_oracle(tmp_path, capsys):
+    # decide routes the leaf (eccentricity 2) to the matching test;
+    # `cupstack oracle` forces the exhaustive search, which agrees.
     path = gen(tmp_path, capsys, "star", 3)
-    code, data, _ = run(capsys, "decide", "-g", path, "-r", "1",
-                        "--method", "oracle")
+    code, data, _ = run(capsys, "decide", "-g", path, "-r", "1")
+    assert code == 1 and data["stackable"] is False
+    code, data, _ = run(capsys, "oracle", "-g", path, "-r", "1")
     assert code == 1 and data["stackable"] is False
 
 
-def test_decide_auto_picks_dominating(tmp_path, capsys):
-    path = gen(tmp_path, capsys, "complete", 4)
-    code, data, _ = run(capsys, "decide", "-g", path, "-r", "0")
-    assert code == 0 and data["method"] == "dominating"
+def test_decide_dominating_target_takes_ecc2_path(capsys):
+    code, data, _ = run(capsys, "decide", "-g", str(FIXTURES / "k4.graph"),
+                        "-r", "0")
+    assert code == 0 and data == {"target": 0, "method": "ecc2",
+                                  "stackable": True}
+    code, data, _ = run(capsys, "plan", "-g", str(FIXTURES / "k4.graph"),
+                        "-r", "2")
+    assert code == 0 and data["moves"] == [[0, 2], [1, 2], [3, 2]]
 
 
 def test_decide_budget_inconclusive(tmp_path, capsys):
+    # Target 0 of the 8-cycle has eccentricity 4: the exhaustive search.
     path = gen(tmp_path, capsys, "cycle", 8)
     code, data, _ = run(capsys, "decide", "-g", path, "-r", "0",
-                        "--method", "oracle", "--budget", "5")
+                        "--budget", "5")
     assert code == 3 and data["stackable"] is None
+    assert data["method"] == "oracle"
+    code, data, _ = run(capsys, "plan", "-g", path, "-r", "0",
+                        "--budget", "5")
+    assert code == 3 and data["plan"] is None and "inconclusive" in data
 
 
 def test_decide_ecc2_no_prints_barrier(tmp_path, capsys):
@@ -93,8 +107,7 @@ def test_bad_budget_variable_is_usage_error(capsys, monkeypatch):
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_nonpositive_budget_is_usage_error(tmp_path, capsys, value):
     graph = gen(tmp_path, capsys, "path", 4)
-    for cmd in (["decide", "--method", "oracle"],
-                ["plan", "--method", "oracle"], ["oracle"]):
+    for cmd in (["decide"], ["plan"], ["oracle"]):
         code, data, err = run(capsys, *cmd, "-g", graph, "-r", "0",
                               "--budget", value)
         assert code == 2 and data is None and "--budget" in err
@@ -313,12 +326,10 @@ def test_unknown_family_is_usage_error(capsys):
 
 def test_checked_in_fixtures(capsys):
     code, data, _ = run(capsys, "decide", "-g",
-                        str(FIXTURES / "petersen.graph"), "-r", "0",
-                        "--method", "ecc2")
+                        str(FIXTURES / "petersen.graph"), "-r", "0")
     assert code == 0 and data["stackable"] is True
     code, data, _ = run(capsys, "decide", "-g",
-                        str(FIXTURES / "star3.graph"), "-r", "1",
-                        "--method", "oracle")
+                        str(FIXTURES / "star3.graph"), "-r", "1")
     assert code == 1
     code, data, _ = run(capsys, "verify", "-g", str(FIXTURES / "p4.graph"),
                         "-p", str(FIXTURES / "p4.plan.json"))
@@ -329,6 +340,10 @@ def test_bad_arguments_are_usage_errors(capsys):
     assert main(["decide"]) == 2
     capsys.readouterr()
     assert main(["nonsense"]) == 2
+    capsys.readouterr()
+    # The route is chosen from the graph alone; there is no --method.
+    assert main(["decide", "-g", str(FIXTURES / "k4.graph"), "-r", "0",
+                 "--method", "oracle"]) == 2
     capsys.readouterr()
 
 
@@ -353,6 +368,8 @@ def loaded_layers(tmp_path, *argv) -> set[str]:
     (("cube", "-d", "8"), {"cube"}, {"ecc2", "matching", "families"}),
     (("decide", "-g", str(FIXTURES / "petersen.graph"), "-r", "0"),
      {"ecc2", "matching"}, {"cube", "families"}),
+    (("decide", "-g", str(FIXTURES / "k4.graph"), "-r", "0"),
+     {"ecc2", "matching"}, {"cube", "families"}),
     (("gen", "path", "4"), {"families"}, {"cube", "ecc2", "matching"}),
     (("plan", "--family", "grid", "--params", "4", "4", "-r", "0"),
      {"families"}, {"cube", "ecc2", "matching"}),
@@ -360,3 +377,27 @@ def loaded_layers(tmp_path, *argv) -> set[str]:
 def test_command_loads_only_its_layers(tmp_path, argv, own, foreign):
     layers = loaded_layers(tmp_path, *argv)
     assert own <= layers and not layers & foreign
+
+
+def readme_commands() -> list[tuple[list[str], int]]:
+    """The `cupstack ...` lines of the README's command-line block, each
+    with the exit code its comment documents: 1 where it says "exit 1"."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    out = []
+    for line in block.split("```", 1)[0].splitlines():
+        command, _, comment = line.partition("#")
+        if command.startswith("cupstack "):
+            out.append((shlex.split(command)[1:],
+                        1 if "exit 1" in comment else 0))
+    return out
+
+
+def test_readme_command_block_runs(tmp_path, capsys, monkeypatch):
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) >= 10 and any(code == 1 for _, code in commands)
+    for argv, expected in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == expected, (argv, err)

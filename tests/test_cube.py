@@ -10,11 +10,11 @@ import pytest
 
 from cupstack import cube
 from cupstack.graphs import Configuration, CubeBoard, Plan, verify_plan
-from cupstack.oracle import oracle_decide
+from cupstack.oracle import oracle_search
 from cupstack.cube import (CubeError, SubcubeHandle, _offsets, phi, plan_abc_triple,
                            plan_cube, plan_high_kcube, plan_level3_4cube,
                            plan_level4_3cubes, plan_low_subcube,
-                           revolving_door, scd, verify_cube_plan)
+                           revolving_door, scd)
 
 
 # ------------------------------------------------------------ chain machinery
@@ -268,9 +268,9 @@ def test_abc_triple_contracts():
 
 def test_plan_cube_d2_matches_oracle():
     result = plan_cube(2)
-    assert result.complete and verify_cube_plan(result)
+    assert result.complete and verify_plan(CubeBoard(2), result.plan)
     g = CubeBoard(2).to_graph()
-    assert oracle_decide(g, Configuration.all_ones(4), 0) is True
+    assert oracle_search(g, Configuration.all_ones(4), 0).decision is True
 
 
 def test_plan_cube_small_range():
@@ -278,12 +278,12 @@ def test_plan_cube_small_range():
         result = plan_cube(d)
         assert result.complete and result.unassigned == ()
         assert len(result.plan.moves) == (1 << d) - 1
-        assert verify_cube_plan(result)
+        assert verify_plan(CubeBoard(d), result.plan)
 
 
 def test_plan_cube_d12():
     result = plan_cube(12)
-    assert result.complete and verify_cube_plan(result)
+    assert result.complete and verify_plan(CubeBoard(12), result.plan)
     assert result.phase_moves.get("chain-triples", 0) > 0
 
 

@@ -12,7 +12,7 @@ from cupstack.ecc2 import (diam2_decide, ecc2_decide, ecc2_plan,
 from cupstack.families import (complete_graph, cycle_graph, multipartite_graph,
                                petersen_graph, star_graph)
 from cupstack.matching import Matching
-from cupstack.oracle import oracle_decide
+from cupstack.oracle import oracle_search
 
 
 def test_petersen_every_target_true():
@@ -38,11 +38,18 @@ def test_k33_true():
         assert ecc2_decide(g, r).decision
 
 
-def test_requires_eccentricity_two():
-    with pytest.raises(ValueError):
-        ecc2_decide(complete_graph(4), 0)
-    with pytest.raises(ValueError):
-        ecc2_decide(cycle_graph(7), 0)
+def test_rejects_eccentricity_above_two():
+    for ecc2_call in (ecc2_decide, ecc2_plan):
+        with pytest.raises(ValueError, match="above 2"):
+            ecc2_call(cycle_graph(7), 0)
+    with pytest.raises(ValueError, match="above 2"):
+        plan_from_matching(cycle_graph(7), 0, Matching.of([]))
+
+
+def test_dominating_target_needs_the_empty_matching():
+    for g in (complete_graph(4), star_graph(3), Graph(1, [])):
+        w = ecc2_decide(g, 0)
+        assert w.decision and w.matching.size == 0 and w.barrier is None
 
 
 def test_plan_from_matching_c5():
@@ -125,7 +132,7 @@ def test_agrees_with_oracle_random():
             if len(sh) != 3:
                 continue
             w = ecc2_decide(g, r)
-            assert w.decision == oracle_decide(g, ones, r)
+            assert w.decision == oracle_search(g, ones, r).decision
             if w.decision:
                 assert verify_plan(g, plan_from_matching(g, r, w.matching))
             checked += 1

@@ -4,16 +4,17 @@ import random
 
 import pytest
 
+from cupstack.ecc2 import ecc2_plan
 from cupstack.graphs import Configuration, verify_plan
 from cupstack.families import (FamilyError, _endpoint_moves, complete_graph,
                                cycle_graph, family, grid_graph,
                                johnson_graph, kneser_graph, kneser_stackable,
                                multipartite_decide, multipartite_graph,
                                path_graph, petersen_graph, plan_cycle,
-                               plan_dominating, plan_grid, plan_ham_ecc2,
+                               plan_grid, plan_ham_ecc2,
                                plan_path, plan_path_endpoint, plan_spider,
                                spider_graph, star_graph)
-from cupstack.oracle import oracle_decide
+from cupstack.oracle import oracle_search
 
 
 # ------------------------------------------------------------------ generators
@@ -128,7 +129,7 @@ def test_cycle_c4_three_moves():
     plan = plan_cycle(4, 0)
     assert len(plan.moves) == 3
     assert verify_plan(cycle_graph(4), plan)
-    assert oracle_decide(cycle_graph(4), Configuration.all_ones(4), 0)
+    assert oracle_search(cycle_graph(4), Configuration.all_ones(4), 0).decision
 
 
 def test_spider_plans():
@@ -139,11 +140,13 @@ def test_spider_plans():
 # ----------------------------------------------------------- dominating plans
 
 def test_dominating_plans():
-    assert len(plan_dominating(complete_graph(4), 2).moves) == 3
-    assert len(plan_dominating(star_graph(5), 0).moves) == 5
-    assert len(plan_dominating(cycle_graph(3), 1).moves) == 2
-    with pytest.raises(FamilyError):
-        plan_dominating(star_graph(3), 1)
+    # A dominating target is the ecc-2 path with an empty N_2(r): every
+    # other vertex walks its cup in, in vertex order.
+    for g, r in ((complete_graph(4), 2), (star_graph(5), 0), (cycle_graph(3), 1)):
+        plan = ecc2_plan(g, r)
+        assert list(plan.moves) == [(z, r) for z in range(g.n) if z != r]
+        assert verify_plan(g, plan)
+    assert ecc2_plan(star_graph(3), 1) is None
 
 
 # ------------------------------------------------------- complete multipartite
@@ -170,7 +173,7 @@ def test_multipartite_closed_form_matches_oracle():
         for i in range(t):
             ok, plan = multipartite_decide(sizes, i)
             r = sum(sizes[:i])
-            assert ok == oracle_decide(g, ones, r)
+            assert ok == oracle_search(g, ones, r).decision
             if ok:
                 assert verify_plan(g, plan)
 

@@ -13,7 +13,6 @@ from cupstack.graphs import (Configuration, CubeBoard, Graph, GraphError,
 from cupstack.families import (complete_graph, cycle_graph, grid_graph,
                                kneser_graph, path_graph, petersen_graph,
                                plan_grid, spider_graph, star_graph)
-from cupstack.oracle import oracle_plan
 
 
 # ------------------------------------------------------------------- parsing
@@ -182,9 +181,12 @@ def test_legal_move_examples():
     assert not legal_move(g, ones, Move(0, 2))
 
 
-def test_move_rejects_fixed_point():
-    with pytest.raises(ValueError):
-        Move(1, 1)
+def test_fixed_point_move_rejected():
+    # Move(1, 1) can be made; applying it would put the pile on itself.
+    with pytest.raises(ValueError, match="differ"):
+        apply_move(Configuration((1, 1, 1)), Move(1, 1))
+    res = verify_plan(path_graph(3), Plan(3, 0, [1, 1]))
+    assert not res and res.step == 0 and "dist(1,1)=0" in res.reason
 
 
 def test_apply_move_examples():
@@ -233,8 +235,8 @@ def test_verify_rejects_with_step_and_reason():
 
 
 def test_verify_rejects_repeated_endpoint():
-    # Move cannot hold src == dst, but a flat plan can: the verifier
-    # rejects it with its step, as a pile that does not match dist 0.
+    # src == dst is rejected with its step, as a pile that does not
+    # match dist 0.
     res = verify_plan(path_graph(3), Plan(3, 0, [1, 0, 2, 2]))
     assert not res and res.step == 1 and "dist(2,2)=0" in res.reason
 
@@ -291,42 +293,63 @@ def test_partition_three_path_parts():
     counts[9] = 0                       # first vertex of the third leg
     c = Configuration(tuple(counts))
     p = StackingPartition(0, (
-        StackingPart((1, 2, 3, 4), (1, 1, 1, 1), 4),
-        StackingPart((5, 6, 7, 8), (1, 1, 1, 1), 8),
-        StackingPart((9, 10, 11, 12), (0, 1, 1, 1), 11),
+        StackingPart((1, 2, 3, 4), (1, 1, 1, 1), 4, (2, 3, 3, 1, 1, 4)),
+        StackingPart((5, 6, 7, 8), (1, 1, 1, 1), 8, (6, 7, 7, 5, 5, 8)),
+        StackingPart((9, 10, 11, 12), (0, 1, 1, 1), 11, (10, 11, 12, 11)),
     ))
-    assert verify_partition(g, c, 0, p, oracle_plan)
+    assert verify_partition(g, c, 0, p)
 
 
 def test_partition_single_part_path():
     g = path_graph(5)
-    p = StackingPartition(0, (StackingPart((1, 2, 3, 4), (1, 1, 1, 1), 4),))
-    assert verify_partition(g, Configuration.all_ones(5), 0, p,
-                            oracle_plan)
+    p = StackingPartition(0, (
+        StackingPart((1, 2, 3, 4), (1, 1, 1, 1), 4, (2, 3, 3, 1, 1, 4)),))
+    assert verify_partition(g, Configuration.all_ones(5), 0, p)
+    # The same vertices in an order that strands a pile.
+    p = StackingPartition(0, (
+        StackingPart((1, 2, 3, 4), (1, 1, 1, 1), 4, (3, 4, 2, 1)),))
+    res = verify_partition(g, Configuration.all_ones(5), 0, p)
+    assert not res and res.step == 0 and "property 3" in res.reason
 
 
 def test_partition_rejects_overlap():
     g = path_graph(4)
     p = StackingPartition(0, (
-        StackingPart((1, 2), (1, 1), 2),
-        StackingPart((2, 3), (1, 1), 2),
+        StackingPart((1, 2), (1, 1), 2, (1, 2)),
+        StackingPart((2, 3), (1, 1), 2, (3, 2)),
     ))
-    res = verify_partition(g, Configuration.all_ones(4), 0, p,
-                           oracle_plan)
+    res = verify_partition(g, Configuration.all_ones(4), 0, p)
     assert not res and "property 2" in res.reason
 
 
 def test_partition_rejects_bad_staging_distance():
     g = path_graph(4)
-    p = StackingPartition(0, (StackingPart((1, 2, 3), (1, 1, 1), 1),))
-    res = verify_partition(g, Configuration.all_ones(4), 0, p,
-                           oracle_plan)
+    p = StackingPartition(0, (
+        StackingPart((1, 2, 3), (1, 1, 1), 1, (3, 2, 2, 1)),))
+    res = verify_partition(g, Configuration.all_ones(4), 0, p)
     assert not res and "property 3" in res.reason
 
 
 def test_partition_rejects_missing_cover():
     g = path_graph(4)
-    p = StackingPartition(0, (StackingPart((1, 2), (1, 1), 2),))
-    res = verify_partition(g, Configuration((1, 1, 1, 0)), 0, p,
-                           oracle_plan)
+    p = StackingPartition(0, (StackingPart((1, 2), (1, 1), 2, (1, 2)),))
+    res = verify_partition(g, Configuration((1, 1, 1, 0)), 0, p)
     assert not res and "property 1" in res.reason
+
+
+def test_partition_rejects_moves_outside_the_part():
+    # On the path 0-1-2-3 the part {2, 3} borrows the cup of part {1}:
+    # 1 -> 2 is legal in the host, but it leaves the part.
+    g = path_graph(4)
+    p = StackingPartition(0, (
+        StackingPart((1,), (1,), 1),
+        StackingPart((2, 3), (1, 1), 2, (1, 2, 3, 2)),
+    ))
+    res = verify_partition(g, Configuration.all_ones(4), 0, p)
+    assert not res and res.step == 1
+    assert "leaves the part at vertex 1 (property 3)" in res.reason
+    # A flat move list of odd length is rejected, not raised.
+    p = StackingPartition(0, (StackingPart((1,), (1,), 1, (1,)),
+                              StackingPart((2, 3), (1, 1), 2, (3, 2))))
+    res = verify_partition(g, Configuration.all_ones(4), 0, p)
+    assert not res and res.step == 0 and "odd-length" in res.reason

@@ -8,57 +8,56 @@ from conftest import random_connected_graph
 from cupstack.graphs import Configuration, CubeBoard, verify_plan
 from cupstack.families import (complete_graph, cycle_graph, grid_graph,
                                multipartite_graph, path_graph, star_graph)
-from cupstack.oracle import (BudgetExhausted, oracle_decide, oracle_plan,
-                             oracle_search, oracle_stackable)
+from cupstack.oracle import oracle_search, oracle_stackable
 
 
 def test_star_center_true_leaf_false():
     g = star_graph(3)           # vertex 0 is the center
     ones = Configuration.all_ones(4)
-    assert oracle_decide(g, ones, 0) is True
+    assert oracle_search(g, ones, 0).decision is True
     for leaf in (1, 2, 3):
-        assert oracle_decide(g, ones, leaf) is False
+        assert oracle_search(g, ones, leaf).decision is False
 
 
 def test_p5_all_targets_true():
     g = path_graph(5)
     ones = Configuration.all_ones(5)
     for r in range(5):
-        assert oracle_decide(g, ones, r) is True
+        assert oracle_search(g, ones, r).decision is True
 
 
 def test_k42_big_side_false():
     g = multipartite_graph([4, 2])
     ones = Configuration.all_ones(6)
     for r in range(4):
-        assert oracle_decide(g, ones, r) is False
+        assert oracle_search(g, ones, r).decision is False
     for r in (4, 5):
-        assert oracle_decide(g, ones, r) is True
+        assert oracle_search(g, ones, r).decision is True
 
 
 def test_plan_p4_three_moves():
     g = path_graph(4)
-    plan = oracle_plan(g, Configuration.all_ones(4), 0)
+    plan = oracle_search(g, Configuration.all_ones(4), 0).plan
     assert len(plan.moves) == 3
     assert verify_plan(g, plan)
 
 
 def test_plan_single_vertex_empty():
     g = path_graph(1)
-    plan = oracle_plan(g, Configuration((1,)), 0)
+    plan = oracle_search(g, Configuration((1,)), 0).plan
     assert plan.moves == ()
 
 
 def test_plan_c4_accepted():
     g = cycle_graph(4)
-    plan = oracle_plan(g, Configuration.all_ones(4), 0)
+    plan = oracle_search(g, Configuration.all_ones(4), 0).plan
     assert verify_plan(g, plan)
 
 
 def test_plans_carry_nontrivial_initial_configuration():
     g = path_graph(3)
     c = Configuration((1, 0, 2))
-    plan = oracle_plan(g, c, 0)
+    plan = oracle_search(g, c, 0).plan
     assert plan.initial == c
     assert verify_plan(g, plan)
 
@@ -73,9 +72,7 @@ def test_stackable_per_target():
 def test_budget_exhaustion_is_inconclusive():
     g = cycle_graph(8)
     res = oracle_search(g, Configuration.all_ones(8), 0, budget=5)
-    assert res.inconclusive and res.decision is None
-    with pytest.raises(BudgetExhausted):
-        oracle_plan(g, Configuration.all_ones(8), 0, budget=5)
+    assert res.inconclusive and res.decision is None and res.plan is None
 
 
 def test_input_validation():
