@@ -12,6 +12,7 @@ from array import array
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 from typing import Iterable, NamedTuple, Optional
 
@@ -79,14 +80,55 @@ class Graph:
             self._dist = [self.bfs_from(s) for s in range(self.n)]
         return self._dist
 
+    @cached_property
+    def _grid_axes(self) -> Optional[tuple[tuple[int, int], ...]]:
+        """The axes (stride, span) of a row-major (mixed-radix) grid, or
+        None when the graph is not one, edge for edge.
+
+        The strides are vertex 0's neighbours in ascending order; each
+        must divide the next and the last must divide n.  The span of an
+        axis is the next stride (n for the last), so vertex v's digit on
+        it is v % span // stride.  Then every vertex's sorted neighbours
+        must be v - stride for each axis whose digit is above 0 (largest
+        stride first) and v + stride for each whose digit is below its
+        top (smallest first), an O(n * axes) check.  The graph is then
+        the product of paths along the axes, whose distance is the sum of
+        the digit differences.  (A first stride above 1 never passes: no
+        expected edge leaves a residue class mod that stride, and the
+        graph is connected.)"""
+        strides = self.adj[0]
+        spans = (*strides[1:], self.n)
+        if any(span % stride for stride, span in zip(strides, spans)):
+            return None
+        axes = tuple(zip(strides, spans))
+        down = axes[::-1]
+        for v, nbrs in enumerate(self.adj):
+            want = [v - stride for stride, span in down if v % span >= stride]
+            want += [v + stride for stride, span in axes if v % span < span - stride]
+            if tuple(want) != nbrs:
+                return None
+        return axes
+
     def dist(self, u: int, v: int) -> int:
-        """Hop distance: the matrix entry once `distances` has built it,
-        else a two-ended BFS.  Each step grows the smaller frontier by one
-        whole layer; the balls of radius `layers` split between u and v
-        stay disjoint until a new layer touches the other side, and then
-        the distance is `layers + 1`."""
+        """Hop distance, from the first of three tiers that applies:
+
+        1. the all-pairs matrix, once `distances` has built it;
+        2. a closed form when the graph is, edge for edge, a row-major
+           grid (paths, `grid_graph`, `cube_graph`; see `_grid_axes`,
+           found once on the first call that finds no matrix): the sum
+           over axes of the difference of the two vertices' digits;
+        3. otherwise a two-ended BFS.  Each step grows the smaller
+           frontier by one whole layer; the balls of radius `layers`
+           split between u and v stay disjoint until a new layer touches
+           the other side, and then the distance is `layers + 1`."""
         if self._dist is not None:
             return self._dist[u][v]
+        axes = self._grid_axes
+        if axes is not None:
+            d = 0
+            for stride, span in axes:
+                d += abs(u % span // stride - v % span // stride)
+            return d
         if u == v:
             return 0
         adj = self.adj
@@ -146,13 +188,14 @@ def parse_graph(text: str) -> Graph:
         if parts[0] == "n":
             if n is not None:
                 raise GraphError(f"line {lineno}: duplicate n line")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _is_ascii_int(parts[1]):
                 raise GraphError(f"line {lineno}: malformed n line")
             n = int(parts[1])
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(f"line {lineno}: edge before n line")
-            if len(parts) != 3 or not parts[1].isdigit() or not parts[2].isdigit():
+            if len(parts) != 3 or not (_is_ascii_int(parts[1])
+                                       and _is_ascii_int(parts[2])):
                 raise GraphError(f"line {lineno}: malformed edge line")
             u, v = int(parts[1]), int(parts[2])
             if not (0 <= u < n and 0 <= v < n):
@@ -169,6 +212,13 @@ def parse_graph(text: str) -> Graph:
     if n is None:
         raise GraphError("missing n line")
     return Graph(n, edges)
+
+
+def _is_ascii_int(word: str) -> bool:
+    """True for a run of 0-9 only; `str.isdigit` alone also passes
+    superscripts, which `int` rejects, and other scripts' digits, which
+    `int` reads as numbers."""
+    return word.isascii() and word.isdigit()
 
 
 def format_graph(g: Graph) -> str:
@@ -269,9 +319,6 @@ class Plan:
     def moves(self) -> MoveView:
         return MoveView(self.flat)
 
-    def initial_config(self) -> Configuration:
-        return self.initial if self.initial is not None else Configuration.all_ones(self.n)
-
     def to_json_dict(self) -> dict:
         it = iter(self.flat)
         out: dict = {"n": self.n, "target": self.target,
@@ -353,10 +400,14 @@ def verify_plan(board, plan: Plan, initial: Optional[Configuration] = None) -> V
     final configuration has every cup on the target.  One loop serves
     every board: it walks the flat move array in (src, dst) pairs and asks
     the board for distances."""
-    config = initial if initial is not None else plan.initial_config()
     n = board.n
-    if len(config.counts) != n:
+    config = initial if initial is not None else plan.initial
+    # The all-ones start has plan.n cups: compare before building it, so
+    # a plan claiming a huge n costs nothing.
+    if (len(config.counts) if config is not None else plan.n) != n:
         return VerifyResult(False, None, "initial configuration size mismatch")
+    if config is None:
+        config = Configuration.all_ones(n)
     if not 0 <= plan.target < n:
         return VerifyResult(False, None, f"target {plan.target} out of range")
     counts = list(config.counts)

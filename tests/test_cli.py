@@ -290,6 +290,15 @@ def test_long_path_plan_verifies(tmp_path, capsys, n, r):
     assert code == 0 and data["accepted"] is True
 
 
+def test_verify_rejects_huge_plan_n_before_building_it(tmp_path, capsys):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"n": 10 ** 12, "target": 0, "moves": []}))
+    code, data, _ = run(capsys, "verify", "-g", str(FIXTURES / "p4.graph"),
+                        "-p", str(plan))
+    assert code == 1 and data == {"accepted": False, "step": None,
+                                  "reason": "initial configuration size mismatch"}
+
+
 @pytest.mark.parametrize("name, params", [("spider", ["1", "2"]),
                                           ("cube", ["3"])])
 def test_root_only_planners_reject_other_targets(tmp_path, capsys, name,
@@ -373,6 +382,9 @@ def loaded_layers(tmp_path, *argv) -> set[str]:
     (("gen", "path", "4"), {"families"}, {"cube", "ecc2", "matching"}),
     (("plan", "--family", "grid", "--params", "4", "4", "-r", "0"),
      {"families"}, {"cube", "ecc2", "matching"}),
+    (("verify", "-g", str(FIXTURES / "grid9x8.graph"),
+      "-p", str(FIXTURES / "grid9x8.plan.json")),
+     {"graphs"}, {"cube", "ecc2", "matching", "families"}),
 ])
 def test_command_loads_only_its_layers(tmp_path, argv, own, foreign):
     layers = loaded_layers(tmp_path, *argv)

@@ -10,9 +10,10 @@ from cupstack.graphs import (Configuration, CubeBoard, Graph, GraphError,
                              apply_move, diameter, eccentricity, format_graph,
                              legal_move, parse_graph, shells,
                              verify_partition, verify_plan)
-from cupstack.families import (complete_graph, cycle_graph, grid_graph,
-                               kneser_graph, path_graph, petersen_graph,
-                               plan_grid, spider_graph, star_graph)
+from cupstack.families import (FAMILIES, complete_graph, cube_graph,
+                               cycle_graph, grid_graph, kneser_graph,
+                               path_graph, petersen_graph, plan_grid,
+                               spider_graph, star_graph)
 
 
 # ------------------------------------------------------------------- parsing
@@ -41,6 +42,16 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("n 3\ne 0 1\ne 0 1\ne 1 2")
     with pytest.raises(GraphError, match="line 3: duplicate edge"):
         parse_graph("n 3\ne 0 1\ne 1 0\ne 1 2")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n 3\ne 0 1\ne 0 \u00b2", "line 3: malformed edge line"),     # superscript 2
+    ("n 3\ne \u0661 \u0662\ne 0 1", "line 2: malformed edge line"),  # Arabic-Indic 1 2
+    ("n \u0663\ne 0 1\ne 1 2", "line 1: malformed n line"),           # Arabic-Indic 3
+])
+def test_parse_accepts_only_ascii_digits(text, message):
+    with pytest.raises(GraphError, match=message):
+        parse_graph(text)
 
 
 def test_parse_comments_and_blank_lines():
@@ -98,23 +109,114 @@ def sparse_connected_graph(rng: random.Random, n: int) -> Graph:
     return Graph(n, sorted(edges))
 
 
+def box_graph(sides) -> Graph:
+    """The product of paths with these sides, row-major: the first side
+    varies fastest, as in `grid_graph`."""
+    n, strides = 1, []
+    for side in sides:
+        strides.append(n)
+        n *= side
+    edges = [(v, v + stride) for v in range(n)
+             for stride, side in zip(strides, sides)
+             if v // stride % side < side - 1]
+    return Graph(n, edges)
+
+
+def cube_file_graph(d: int) -> Graph:
+    """Q^d as `cupstack gen cube` writes it and `verify -g` reads it."""
+    return parse_graph(format_graph(cube_graph(d)))
+
+
+def row_major_grids() -> list[Graph]:
+    """Graphs whose `dist` takes the closed form."""
+    return ([path_graph(n) for n in (1, 2, 7)]
+            + [grid_graph(m, k) for m in range(1, 7) for k in range(1, 7)]
+            + [grid_graph(9, 8), box_graph((3, 3, 3))]
+            + [cube_file_graph(d) for d in range(7)])
+
+
+def not_grids() -> list[Graph]:
+    """Grids spoiled by a relabelling, an added edge or a removed
+    non-bridge edge, strides that do not divide, cycles, Petersen and a
+    Kneser graph: `dist` runs the BFS on each."""
+    edges = grid_graph(4, 3).edges()
+    swap = {5: 6, 6: 5}
+    return [
+        Graph(12, [(swap.get(u, u), swap.get(v, v)) for u, v in edges]),
+        Graph(12, edges + [(5, 10)]),
+        Graph(12, [e for e in edges if e != (5, 6)]),
+        Graph(12, [e for e in edges if e != (0, 1)]),
+        # Vertex 0's neighbours 1, 2, 3 as strides, and every vertex has
+        # the neighbours they predict, but 2 does not divide 3.
+        Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 3), (2, 5), (3, 5),
+                  (4, 5)]),
+        cycle_graph(3), cycle_graph(4), cycle_graph(8), cycle_graph(11),
+        petersen_graph(), kneser_graph(7, 3),
+    ]
+
+
 def distance_graphs() -> list[Graph]:
     rng = random.Random(20261018)
-    return ([path_graph(n) for n in (1, 2, 7)]
-            + [cycle_graph(n) for n in (3, 8, 11)]
-            + [grid_graph(9, 8), kneser_graph(7, 3)]
+    return (row_major_grids() + not_grids()
             + [random_connected_graph(rng, rng.randint(2, 12)) for _ in range(20)]
             + [sparse_connected_graph(rng, rng.randint(2, 40)) for _ in range(20)])
 
 
 def test_dist_matches_bfs_before_and_after_matrix():
-    # Two-ended BFS first, then the cached matrix on the same graph.
+    # Closed form or two-ended BFS first, then the cached matrix on the
+    # same graph.
     for g in distance_graphs():
         rows = [g.bfs_from(u) for u in range(g.n)]
         for _ in range(2):
             assert [[g.dist(u, v) for v in range(g.n)]
                     for u in range(g.n)] == rows
             g.distances()
+
+
+def test_grid_tier_recognises_only_row_major_grids():
+    assert all(g._grid_axes is not None for g in row_major_grids())
+    assert all(g._grid_axes is None for g in not_grids())
+    assert grid_graph(6, 5)._grid_axes == ((1, 6), (6, 30))
+    assert box_graph((3, 3, 3))._grid_axes == ((1, 3), (3, 9), (9, 27))
+    assert cube_file_graph(3)._grid_axes == ((1, 2), (2, 4), (4, 8))
+    assert path_graph(5)._grid_axes == ((1, 5),)
+
+
+def spoiled(flat: list[int], n: int) -> list[list[int]]:
+    """Broken copies of a plan's flat moves: each move reversed, moved
+    one vertex over at either end, or swapped with the next, and the
+    plan cut short."""
+    out = [flat[:-2]]
+    for i in range(0, len(flat), 2):
+        for a, b in ((flat[i + 1], flat[i]), (flat[i], (flat[i + 1] + 1) % n),
+                     ((flat[i] + 1) % n, flat[i + 1])):
+            out.append(flat[:i] + [a, b] + flat[i + 2:])
+        if i + 2 < len(flat):
+            out.append(flat[:i] + flat[i + 2:i + 4] + flat[i:i + 2] + flat[i + 4:])
+    return out
+
+
+@pytest.mark.parametrize("name, params, r", [
+    ("grid", (9, 8), 30), ("grid", (5, 1), 2), ("path", (40,), 17),
+    ("cube", (4,), 0), ("cycle", (11,), 4),
+])
+def test_spoiled_plans_get_the_matrix_tiers_verdicts(name, params, r):
+    # Both graphs are read from the file `cupstack gen` writes; only the
+    # second has the all-pairs matrix, the first takes the closed form
+    # (or, for the cycle, the two-ended BFS).
+    family = FAMILIES[name]
+    plan = family.plan(list(params), r)
+    text = format_graph(family.generate(*params))
+    fresh, matrix = parse_graph(text), parse_graph(text)
+    matrix.distances()
+    assert verify_plan(fresh, plan)
+    rejected = 0
+    for flat in spoiled(list(plan.flat), plan.n):
+        spoilt = Plan(plan.n, plan.target, flat)
+        res = verify_plan(fresh, spoilt)
+        assert res == verify_plan(matrix, spoilt)
+        rejected += "dist(" in (res.reason or "")
+    assert rejected > len(plan.flat) // 2
 
 
 @pytest.mark.parametrize("cached", [False, True])
@@ -261,6 +363,10 @@ def test_verify_rejects_size_mismatch():
     res = verify_plan(path_graph(3), Plan(3, 0, []),
                       initial=Configuration((1, 1)))
     assert not res and "size mismatch" in res.reason
+    # A plan's own n is compared before any all-ones start is built.
+    res = verify_plan(path_graph(3), Plan(10 ** 12, 0, []))
+    assert res == verify_plan(path_graph(3), Plan(4, 0, []))
+    assert not res and res.reason == "initial configuration size mismatch"
 
 
 def test_plan_json_round_trip():
