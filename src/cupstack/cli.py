@@ -200,7 +200,11 @@ def _cmd_oracle(args) -> int:
         raise ValueError(f"target {r} out of range")
     initial = graphs.Configuration.all_ones(g.n)
     if args.config:
-        counts = tuple(int(c) for c in args.config.split(","))
+        fields = [f.strip() for f in args.config.split(",")]
+        for i, field in enumerate(fields):
+            if not graphs._is_ascii_int(field):
+                raise ValueError(f"--config field {i + 1} is not a count: {field!r}")
+        counts = tuple(map(int, fields))
         if len(counts) != g.n:
             raise ValueError("configuration length mismatch")
         initial = graphs.Configuration(counts)

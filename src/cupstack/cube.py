@@ -126,26 +126,22 @@ def revolving_door(m: int, k: int) -> list[tuple[int, ...]]:
     consecutive subsets exchange exactly one element."""
     if not 0 <= k <= m:
         raise ValueError("need 0 <= k <= m")
-    if k == 0:
-        return [()]
-    if k == m:
-        return [tuple(range(1, m + 1))]
-    head = revolving_door(m - 1, k)
-    tail = [c + (m,) for c in reversed(revolving_door(m - 1, k - 1))]
-    return head + tail
+    # Bottom-up over i = 1..m: the order of the j-subsets of {1..i} is
+    # that of {1..i-1}, then the (j-1)-subsets of {1..i-1} reversed, each
+    # with i added.  rows[j] grows in place, largest j first so that
+    # rows[j - 1] still holds step i - 1; only the j that can still reach
+    # k are updated.
+    rows = [[()]] + [[] for _ in range(k)]
+    for i in range(1, m + 1):
+        for j in range(min(k, i), max(1, k - (m - i)) - 1, -1):
+            if j == i:
+                rows[j] = [tuple(range(1, i + 1))]
+            else:
+                rows[j] += [c + (i,) for c in reversed(rows[j - 1])]
+    return rows[k]
 
 
 # ------------------------------------------------------- subcube primitives
-
-@dataclass(frozen=True)
-class SubcubeHandle:
-    base: int
-    free_dims: tuple[int, ...]
-
-    @property
-    def level(self) -> int:
-        return self.base.bit_count()
-
 
 @lru_cache(maxsize=None)
 def _offsets(dims: tuple[int, ...]) -> tuple[int, ...]:
@@ -199,30 +195,6 @@ def _solve(k: int, l: int) -> tuple[int, ...]:
     raise CubeError(f"level-{l} {k}-cube is not directly stackable")
 
 
-def plan_low_subcube(handle: SubcubeHandle) -> array:
-    """Fragment for a k-cube with k <= 3, as a new flat array; the
-    level-4 3-cube is the one excluded case (it needs a partner
-    gadget)."""
-    k = len(handle.free_dims)
-    if k > 3:
-        raise CubeError("plan_low_subcube handles k <= 3")
-    if (k, handle.level) == (3, 4):
-        raise CubeError("a level-4 3-cube cannot be stacked alone")
-    return _emit(array("q"), (handle.base,), handle.free_dims,
-                 _solve(k, handle.level))
-
-
-def plan_high_kcube(handle: SubcubeHandle, out: array) -> array:
-    """Fragment for a k-cube whose level is at least 2^k - k: gather the
-    whole cube on a weight-2^k vertex and jump.  Like the gadget
-    fragments below, it is appended to `out`, which is returned."""
-    k = len(handle.free_dims)
-    l = handle.level
-    if l < (1 << k) - k or l > (1 << k):
-        raise CubeError(f"level {l} outside [{(1 << k) - k}, {1 << k}]")
-    return _emit(out, (handle.base,), handle.free_dims, _solve(k, l))
-
-
 # --------------------------------------------------------- 3-cube gathering
 
 @lru_cache(maxsize=None)
@@ -251,14 +223,6 @@ LEVEL3_4CUBE_GADGET: tuple[tuple[int, int], ...] = (
     (14, 12), (8, 10), (13, 9), (12, 15), (10, 15), (9, 15), (15, -1),
 )
 _LEVEL3_4CUBE_FLAT = tuple(x for mv in LEVEL3_4CUBE_GADGET for x in mv)
-
-
-def plan_level3_4cube(handle: SubcubeHandle, out: array) -> array:
-    """Fragment for a level-3 4-cube: piles of 3, 6, and 7 cups exit from
-    vertices of matching weight."""
-    if handle.level != 3 or len(handle.free_dims) != 4:
-        raise CubeError("gadget requires a level-3 4-cube")
-    return _emit(out, (handle.base,), handle.free_dims, _LEVEL3_4CUBE_FLAT)
 
 
 PAIR_GADGET: tuple[tuple[str, int, str, int], ...] = (
@@ -297,8 +261,7 @@ _PAIR_FLAT = _compile_gadget(PAIR_GADGET)
 _TRIPLE_FLAT = _compile_gadget(TRIPLE_GADGET)
 
 
-def plan_level4_3cubes(d: int, out: array,
-                       labels: Optional[Sequence[int]] = None) -> array:
+def plan_level4_3cubes(d: int, out: array) -> array:
     """Fragment covering every level-4 3-cube of the standard split: the
     labels are paired along a revolving-door cycle, with one triple when
     the count is odd."""
@@ -307,10 +270,6 @@ def plan_level4_3cubes(d: int, out: array,
     n = d - 3
     dims = (d - 3, d - 2, d - 1)
     cycle = [sum(1 << (e - 1) for e in c) for c in revolving_door(n, 4)]
-    if labels is not None:
-        expected = sorted(cycle)
-        if sorted(labels) != expected:
-            raise CubeError("labels must be exactly the level-4 labels")
     idx = 0
     if len(cycle) % 2:
         u, v, w = cycle[0], cycle[1], cycle[2]
@@ -410,19 +369,6 @@ def _abc_flat(l: int) -> tuple[int, ...]:
             + (C + t, -1))                                    # 11 cups, weight 11
 
 
-def plan_abc_triple(d: int, a_base: int, b_base: int, c_base: int,
-                    dims: Sequence[int], out: array) -> array:
-    """Fragment for a chain triple of 3-cubes at levels l, l-1, l-2."""
-    l = a_base.bit_count()
-    if not (9 <= l <= 12):
-        raise CubeError("chain triples cover levels 9 to 12")
-    if b_base.bit_count() != l - 1 or c_base.bit_count() != l - 2:
-        raise CubeError("triple levels must descend by one")
-    if (a_base ^ b_base).bit_count() != 1 or (b_base ^ c_base).bit_count() != 1:
-        raise CubeError("triple bases must be chain neighbors")
-    return _emit(out, (a_base, b_base, c_base), dims, _abc_flat(l))
-
-
 # ------------------------------------------------------------- full assembly
 
 @dataclass(frozen=True)
@@ -434,15 +380,14 @@ class CubePlanResult:
     phase_moves: dict
 
 
-def _abc_loop(n: int, pool: set[int], dims: Sequence[int], out: array) -> list[int]:
+def _abc_loop(pool: set[int], dims: Sequence[int], out: array) -> list[int]:
     """Append chain triples from the pool to `out`, highest label first;
     returns the labels that cannot join any triple (the reported gap)."""
     unassigned: list[int] = []
     high = sorted((m for m in pool if m.bit_count() >= 9),
                   key=lambda m: (m.bit_count(), m), reverse=True)
-    removed: set[int] = set()
     for a in high:
-        if a in removed:
+        if a not in pool:           # already in a higher triple
             continue
         b = _phi_or_none(a)
         c = _phi_or_none(b) if b is not None else None
@@ -450,11 +395,10 @@ def _abc_loop(n: int, pool: set[int], dims: Sequence[int], out: array) -> list[i
             pool.remove(a)
             unassigned.append(a)
             continue
-        if b not in pool or c not in pool or b in removed or c in removed:
+        if b not in pool or c not in pool:
             raise AssertionError("chain neighbors missing from the pool")
-        removed.update((a, b, c))
         pool -= {a, b, c}
-        plan_abc_triple(n + 3, a, b, c, dims, out)
+        _emit(out, (a, b, c), dims, _abc_flat(a.bit_count()))
     return sorted(unassigned)
 
 
@@ -486,7 +430,7 @@ def plan_cube(d: int) -> CubePlanResult:
                 _emit(out, (label,), dims4, _solve(4, label.bit_count()))
                 phase("low-4cubes", start)
             else:
-                plan_level3_4cube(SubcubeHandle(label, dims4), out)
+                _emit(out, (label,), dims4, _LEVEL3_4CUBE_FLAT)
                 phase("level3-4cube", start)
     else:
         # 4-cubes of level 12 and up (d >= 16) exit whole; the rest split
@@ -499,13 +443,13 @@ def plan_cube(d: int) -> CubePlanResult:
         start = len(out)
         for label in range(1 << (n - 1)):
             if label.bit_count() >= 12:
-                plan_high_kcube(SubcubeHandle(label, dims4), out)
+                _emit(out, (label,), dims4, _solve(4, label.bit_count()))
             else:
                 pool.add(label)
                 pool.add(label | (1 << (n - 1)))
         phase("high-4cubes", start)
         start = len(out)
-        unassigned = _abc_loop(n, pool, dims3, out)
+        unassigned = _abc_loop(pool, dims3, out)
         phase("chain-triples", start)
         start = len(out)
         plan_level4_3cubes(d, out)

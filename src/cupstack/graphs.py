@@ -43,22 +43,8 @@ class Graph:
             tuple(sorted(s)) for s in adj)
         self.labels = tuple(labels) if labels is not None else None
         self._dist: Optional[list[list[int]]] = None
-        if not self._connected():
+        if min(self.bfs_from(0)) < 0:
             raise GraphError("graph is disconnected")
-
-    def _connected(self) -> bool:
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(v)
-        return count == self.n
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
@@ -191,6 +177,8 @@ def parse_graph(text: str) -> Graph:
             if len(parts) != 2 or not _is_ascii_int(parts[1]):
                 raise GraphError(f"line {lineno}: malformed n line")
             n = int(parts[1])
+            if n < 1:
+                raise GraphError(f"line {lineno}: graph needs at least one vertex")
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(f"line {lineno}: edge before n line")
@@ -395,6 +383,13 @@ class VerifyResult:
         return self.ok
 
 
+class _OnesStart(dict):
+    """Cup counts of an all-ones start, stored only where they changed."""
+
+    def __missing__(self, v: int) -> int:
+        return 1
+
+
 def verify_plan(board, plan: Plan, initial: Optional[Configuration] = None) -> VerifyResult:
     """Replay a plan move by move; accept iff every move is legal and the
     final configuration has every cup on the target.  One loop serves
@@ -406,12 +401,19 @@ def verify_plan(board, plan: Plan, initial: Optional[Configuration] = None) -> V
     # a plan claiming a huge n costs nothing.
     if (len(config.counts) if config is not None else plan.n) != n:
         return VerifyResult(False, None, "initial configuration size mismatch")
-    if config is None:
-        config = Configuration.all_ones(n)
     if not 0 <= plan.target < n:
         return VerifyResult(False, None, f"target {plan.target} out of range")
-    counts = list(config.counts)
-    total = sum(counts)
+    if config is None:
+        # A list, unless the plan has fewer entries than n: then a dict of
+        # the vertices it touches, so a short plan claiming a huge n costs
+        # only its own length.  Each move empties one vertex for good (a
+        # destination must hold a cup), so n cups take n - 1 moves, 2n - 2
+        # entries: such a plan fails unless n = 1.
+        counts = [1] * n if n <= len(plan.flat) else _OnesStart()
+        total = n
+    else:
+        counts = list(config.counts)
+        total = sum(counts)
     dist = board.dist
     it = iter(plan.flat)
     for i, src, dst in zip(count(), it, it):

@@ -175,6 +175,14 @@ def test_oracle_with_plan_and_config(tmp_path, capsys):
     assert data["moves"] == [[2, 0]]
 
 
+def test_oracle_config_accepts_only_ascii_counts(capsys):
+    graph = str(FIXTURES / "p4.graph")
+    for config, field in (("\u0661,1,1,1", 1), ("1,1,-1,1", 3)):   # Arabic-Indic 1
+        code, data, err = run(capsys, "oracle", "-g", graph, "-r", "0",
+                              "--config", config)
+        assert code == 2 and data is None and f"--config field {field}" in err
+
+
 def test_ge_output(tmp_path, capsys):
     graph = gen(tmp_path, capsys, "path", 3)
     code, data, _ = run(capsys, "ge", "-g", graph)
@@ -191,6 +199,11 @@ def test_scd_output(capsys):
 def test_gray_output(capsys):
     code, data, _ = run(capsys, "gray", "-m", "5", "-k", "4")
     assert code == 0 and len(data["cycle"]) == 5
+
+
+def test_gray_long_input(capsys):
+    code, data, _ = run(capsys, "gray", "-m", "1100", "-k", "1")
+    assert code == 0 and data["cycle"] == [[i] for i in range(1, 1101)]
 
 
 def test_cube_plan_and_verify(tmp_path, capsys):
@@ -288,6 +301,15 @@ def test_long_path_plan_verifies(tmp_path, capsys, n, r):
     assert code == 0 and data["moves"] == n - 1
     code, data, _ = run(capsys, "verify", "-g", graph, "-p", str(plan))
     assert code == 0 and data["accepted"] is True
+
+
+def test_verify_rejects_short_cube_plan_before_building_it(tmp_path, capsys):
+    # 2^62 cups need 2^62 - 1 moves; the empty plan fails without a start.
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"n": 2 ** 62, "target": 0, "moves": []}))
+    code, data, _ = run(capsys, "verify", "--cube", "62", "-p", str(plan))
+    assert code == 1 and data["accepted"] is False
+    assert "not concentrated" in data["reason"]
 
 
 def test_verify_rejects_huge_plan_n_before_building_it(tmp_path, capsys):

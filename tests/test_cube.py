@@ -11,9 +11,8 @@ import pytest
 from cupstack import cube
 from cupstack.graphs import Configuration, CubeBoard, Plan, verify_plan
 from cupstack.oracle import oracle_search
-from cupstack.cube import (CubeError, SubcubeHandle, _offsets, phi, plan_abc_triple,
-                           plan_cube, plan_high_kcube, plan_level3_4cube,
-                           plan_level4_3cubes, plan_low_subcube,
+from cupstack.cube import (CubeError, _abc_flat, _emit, _LEVEL3_4CUBE_FLAT, _offsets,
+                           _solve, phi, plan_cube, plan_level4_3cubes,
                            revolving_door, scd)
 
 
@@ -111,6 +110,22 @@ def test_revolving_door_9_4_covers_once():
     assert set(order) == set(combinations(range(1, 10), 4))
 
 
+def _revolving_door_reference(m: int, k: int) -> list[tuple[int, ...]]:
+    """The recursive definition that `revolving_door` builds bottom-up."""
+    if k == 0:
+        return [()]
+    if k == m:
+        return [tuple(range(1, m + 1))]
+    tail = [c + (m,) for c in reversed(_revolving_door_reference(m - 1, k - 1))]
+    return _revolving_door_reference(m - 1, k) + tail
+
+
+def test_revolving_door_matches_recursive_reference():
+    for m in range(13):
+        for k in range(m + 1):
+            assert revolving_door(m, k) == _revolving_door_reference(m, k), (m, k)
+
+
 def test_revolving_door_general_adjacency():
     for m in range(2, 10):
         for k in range(1, m):
@@ -143,19 +158,19 @@ def subcube_vertices(base: int, dims) -> list[int]:
 
 
 def test_low_subcube_k1_level0():
-    moves = plan_low_subcube(SubcubeHandle(0b0, (0,)))
+    moves = _emit(array("q"), (0b0,), (0,), _solve(1, 0))
     assert pairs(moves) == [(1, 0)]
     replay_fragment(1, moves, [0, 1])
 
 
 def test_low_subcube_full_q3():
-    moves = plan_low_subcube(SubcubeHandle(0, (0, 1, 2)))
+    moves = _emit(array("q"), (0,), (0, 1, 2), _solve(3, 0))
     replay_fragment(3, moves, range(8))
 
 
 def test_low_subcube_rejects_level4_3cube():
     with pytest.raises(CubeError):
-        plan_low_subcube(SubcubeHandle(0b1111, (4, 5, 6)))
+        _solve(3, 4)           # a level-4 3-cube needs a partner gadget
 
 
 def test_low_subcube_all_placements_small():
@@ -163,17 +178,16 @@ def test_low_subcube_all_placements_small():
         for k in range(0, 4):
             dims = tuple(range(d - k, d))
             for base in range(1 << (d - k)):
-                if (k, base.bit_count()) == (3, 4):
-                    continue
                 try:
-                    moves = plan_low_subcube(SubcubeHandle(base, dims))
+                    template = _solve(k, base.bit_count())
                 except CubeError:
                     continue      # level out of the fragment's window
+                moves = _emit(array("q"), (base,), dims, template)
                 replay_fragment(d, moves, subcube_vertices(base, dims))
 
 
 def test_high_kcube_level5_3cube():
-    moves = plan_high_kcube(SubcubeHandle(0b11111, (5, 6, 7)), array("q"))
+    moves = _emit(array("q"), (0b11111,), (5, 6, 7), _solve(3, 5))
     assert len(pairs(moves)) == 8     # 7 in-cube moves plus the jump
     src, dst = pairs(moves)[-1]
     assert src.bit_count() == 8 and dst == 0
@@ -182,7 +196,7 @@ def test_high_kcube_level5_3cube():
 
 def test_high_kcube_4cube_in_q16():
     base = sum(1 << i for i in range(12))
-    moves = plan_high_kcube(SubcubeHandle(base, (12, 13, 14, 15)), array("q"))
+    moves = _emit(array("q"), (base,), (12, 13, 14, 15), _solve(4, 12))
     assert len(pairs(moves)) == 16
     src, dst = pairs(moves)[-1]
     assert src.bit_count() == 16 and dst == 0
@@ -194,30 +208,24 @@ def test_high_kcube_level16_forced_placement():
     # and the subcube's top vertex is the global all-ones vertex.
     base = (1 << 16) - 1
     dims = (16, 17, 18, 19)
-    moves = plan_high_kcube(SubcubeHandle(base, dims), array("q"))
+    moves = _emit(array("q"), (base,), dims, _solve(4, 16))
     assert pairs(moves)[-1] == (base, 0)
     assert base | _offsets(dims)[0b1111] == (1 << 20) - 1
 
 
 def test_high_kcube_level_window():
     with pytest.raises(CubeError):
-        plan_high_kcube(SubcubeHandle(0b11111111111, (12, 13, 14, 15)),
-                        array("q"))
+        _solve(4, 11)
 
 
 def test_level3_4cube_gadget():
     base = 0b111
     dims = (3, 4, 5, 6)
-    moves = plan_level3_4cube(SubcubeHandle(base, dims), array("q"))
+    moves = _emit(array("q"), (base,), dims, _LEVEL3_4CUBE_FLAT)
     assert len(pairs(moves)) == 16    # each of the 16 cups moves exactly once
     exits = [(a, b) for a, b in pairs(moves) if b == 0]
     assert sorted(a.bit_count() for a, _ in exits) == [3, 6, 7]
     replay_fragment(7, moves, subcube_vertices(base, dims))
-
-
-def test_level3_4cube_rejects_other_levels():
-    with pytest.raises(CubeError):
-        plan_level3_4cube(SubcubeHandle(0b11, (3, 4, 5, 6)), array("q"))
 
 
 def test_level4_gadgets_d8():
@@ -245,7 +253,7 @@ def test_abc_triple_levels():
         b = phi(n, a)
         c = phi(n, b)
         dims = (d - 3, d - 2, d - 1)
-        moves = plan_abc_triple(d, a, b, c, dims, array("q"))
+        moves = _emit(array("q"), (a, b, c), dims, _abc_flat(l))
         vertices = [v for base in (a, b, c)
                     for v in subcube_vertices(base, dims)]
         replay_fragment(d, moves, vertices)
@@ -253,15 +261,6 @@ def test_abc_triple_levels():
             # the 13-cup jump from the top pile is the signature move
             assert any(src.bit_count() == 13 and dst == 0
                        for src, dst in pairs(moves))
-
-
-def test_abc_triple_contracts():
-    dims = (9, 10, 11)
-    with pytest.raises(CubeError):
-        plan_abc_triple(12, 0b111, 0b11, 0b1, dims, array("q"))
-    a = (1 << 9) - 1
-    with pytest.raises(CubeError):
-        plan_abc_triple(12, a, a >> 2, a >> 3, dims, array("q"))
 
 
 # --------------------------------------------------------------- full plans

@@ -42,6 +42,8 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("n 3\ne 0 1\ne 0 1\ne 1 2")
     with pytest.raises(GraphError, match="line 3: duplicate edge"):
         parse_graph("n 3\ne 0 1\ne 1 0\ne 1 2")
+    with pytest.raises(GraphError, match="line 1: graph needs at least one vertex"):
+        parse_graph("n 0")
 
 
 @pytest.mark.parametrize("text, message", [
