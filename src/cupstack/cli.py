@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -25,6 +26,10 @@ EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
 
 BUDGET_ENV = "CUPSTACK_ORACLE_BUDGET"
+
+# Fixed output limits: `scd` and `gray` build their whole answer in memory.
+SCD_MAX_N = 20                  # 2**20 subsets
+GRAY_MAX_SUBSETS = 10**6
 
 
 def _positive_int(text: str) -> int:
@@ -233,6 +238,8 @@ def _mask_to_sorted(mask: int) -> list[int]:
 
 
 def _cmd_scd(args) -> int:
+    if args.n > SCD_MAX_N:
+        raise ValueError(f"scd -n {args.n} is above the limit of {SCD_MAX_N}")
     from . import cube
     chains = cube.scd(args.n)
     _emit({"n": args.n,
@@ -242,11 +249,17 @@ def _cmd_scd(args) -> int:
 
 
 def _cmd_gray(args) -> int:
+    m, k = args.m, args.k
+    # comb(m, j) grows with j up to m/2 and comb(24, 12) is above the
+    # limit, so capping j at 12 decides it without a huge comb(m, k).
+    if 0 <= k <= m and math.comb(m, min(k, m - k, 12)) > GRAY_MAX_SUBSETS:
+        raise ValueError(f"gray -m {m} -k {k} lists more subsets than "
+                         f"the limit of {GRAY_MAX_SUBSETS}")
     from . import cube
-    seq = cube.revolving_door(args.m, args.k)
+    seq = cube.revolving_door(m, k)
     if len(seq) < 3:
         raise ValueError("parameters too small for a genuine cycle")
-    _emit({"m": args.m, "k": args.k,
+    _emit({"m": m, "k": k,
            "cycle": [sorted(c) for c in seq]}, args.pretty)
     return EXIT_YES
 

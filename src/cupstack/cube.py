@@ -25,10 +25,9 @@ and appends them to the plan's one flat int array.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .graphs import Configuration, CubeBoard, Plan
 from .oracle import oracle_search
@@ -371,8 +370,7 @@ def _abc_flat(l: int) -> tuple[int, ...]:
 
 # ------------------------------------------------------------- full assembly
 
-@dataclass(frozen=True)
-class CubePlanResult:
+class CubePlanResult(NamedTuple):
     d: int
     plan: Plan
     complete: bool

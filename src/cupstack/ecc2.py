@@ -15,15 +15,13 @@ inside N_2(r), and each needs its own matching edge into X.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import Graph, Plan, shells
 from .matching import BareGraph, Matching, augment, blossom_search
 
 
-@dataclass(frozen=True)
-class Ecc2Witness:
+class Ecc2Witness(NamedTuple):
     decision: bool
     matching: Optional[Matching]           # saturates N_2(r) iff decision
     barrier: Optional[tuple[int, ...]]     # refutes every such matching iff not decision

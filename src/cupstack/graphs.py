@@ -11,7 +11,6 @@ import operator
 from array import array
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 from typing import Iterable, NamedTuple, Optional
@@ -95,15 +94,24 @@ class Graph:
                 return None
         return axes
 
+    @cached_property
+    def _is_cycle(self) -> bool:
+        """True when the graph is the cycle 0-1-...-(n-1)-0, edge for edge."""
+        n = self.n
+        return n >= 3 and all(nbrs == tuple(sorted(((v - 1) % n, (v + 1) % n)))
+                              for v, nbrs in enumerate(self.adj))
+
     def dist(self, u: int, v: int) -> int:
-        """Hop distance, from the first of three tiers that applies:
+        """Hop distance, from the first of four tiers that applies:
 
         1. the all-pairs matrix, once `distances` has built it;
         2. a closed form when the graph is, edge for edge, a row-major
            grid (paths, `grid_graph`, `cube_graph`; see `_grid_axes`,
            found once on the first call that finds no matrix): the sum
            over axes of the difference of the two vertices' digits;
-        3. otherwise a two-ended BFS.  Each step grows the smaller
+        3. a closed form when it is the cycle labelled in order
+           (`cycle_graph`; see `_is_cycle`): the shorter way round;
+        4. otherwise a two-ended BFS.  Each step grows the smaller
            frontier by one whole layer; the balls of radius `layers`
            split between u and v stay disjoint until a new layer touches
            the other side, and then the distance is `layers + 1`."""
@@ -115,6 +123,9 @@ class Graph:
             for stride, span in axes:
                 d += abs(u % span // stride - v % span // stride)
             return d
+        if self._is_cycle:
+            d = abs(u - v)
+            return min(d, self.n - d)
         if u == v:
             return 0
         adj = self.adj
@@ -176,7 +187,7 @@ def parse_graph(text: str) -> Graph:
                 raise GraphError(f"line {lineno}: duplicate n line")
             if len(parts) != 2 or not _is_ascii_int(parts[1]):
                 raise GraphError(f"line {lineno}: malformed n line")
-            n = int(parts[1])
+            n, n_line = int(parts[1]), lineno
             if n < 1:
                 raise GraphError(f"line {lineno}: graph needs at least one vertex")
         elif parts[0] == "e":
@@ -199,6 +210,11 @@ def parse_graph(text: str) -> Graph:
             raise GraphError(f"line {lineno}: unrecognized line {line!r}")
     if n is None:
         raise GraphError("missing n line")
+    # Refused before Graph builds n adjacency sets, which a short file
+    # claiming a huge n would otherwise pay for.
+    if len(edges) < n - 1:
+        raise GraphError(f"line {n_line}: graph is disconnected: "
+                         f"{len(edges)} edges cannot connect {n} vertices")
     return Graph(n, edges)
 
 
@@ -236,13 +252,17 @@ class Move(NamedTuple):
     dst: int
 
 
-@dataclass(frozen=True)
-class Configuration:
+class _Configuration(NamedTuple):
     counts: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(c < 0 for c in self.counts):
+
+class Configuration(_Configuration):
+    __slots__ = ()
+
+    def __new__(cls, counts: tuple[int, ...]):
+        if any(c < 0 for c in counts):
             raise ValueError("negative cup count")
+        return super().__new__(cls, counts)
 
     @property
     def size(self) -> int:
@@ -288,20 +308,25 @@ class MoveView(Sequence):
         return f"MoveView({list(self)!r})"
 
 
-@dataclass(frozen=True)
-class Plan:
-    """A move sequence stored as one flat int array [s0, d0, s1, d1, ...]
-    of 8 bytes per entry; `moves` reads it as Move objects."""
+class _Plan(NamedTuple):
     n: int
     target: int
     flat: array
     initial: Optional[Configuration] = None
 
-    def __post_init__(self):
-        if not (isinstance(self.flat, array) and self.flat.typecode == "q"):
-            object.__setattr__(self, "flat", array("q", self.flat))
-        if len(self.flat) % 2:
+
+class Plan(_Plan):
+    """A move sequence stored as one flat int array [s0, d0, s1, d1, ...]
+    of 8 bytes per entry; `moves` reads it as Move objects."""
+    __slots__ = ()
+
+    def __new__(cls, n: int, target: int, flat,
+                initial: Optional[Configuration] = None):
+        if not (isinstance(flat, array) and flat.typecode == "q"):
+            flat = array("q", flat)
+        if len(flat) % 2:
             raise ValueError("flat move array has odd length")
+        return super().__new__(cls, n, target, flat, initial)
 
     @property
     def moves(self) -> MoveView:
@@ -373,8 +398,7 @@ def apply_move(c: Configuration, mv: Move) -> Configuration:
     return Configuration(tuple(counts))
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     step: Optional[int] = None
     reason: Optional[str] = None
@@ -468,16 +492,14 @@ def verify_barrier(g: Graph, r: int, barrier: Iterable[int]) -> VerifyResult:
     return VerifyResult(True)
 
 
-@dataclass(frozen=True)
-class StackingPart:
+class StackingPart(NamedTuple):
     vertices: tuple[int, ...]
     cups: tuple[int, ...]        # cup counts aligned with vertices
     staging: int                 # vertex the part stacks onto
     moves: Sequence[int] = ()    # flat [s0, d0, ...] stacking it there
 
 
-@dataclass(frozen=True)
-class StackingPartition:
+class StackingPartition(NamedTuple):
     target: int
     parts: tuple[StackingPart, ...]
 

@@ -9,8 +9,7 @@ on a bare adjacency view rather than the connected Graph type.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 
 class BareGraph:
@@ -62,8 +61,7 @@ def _bare(g) -> BareGraph:
     return BareGraph(g.n, g.edges())
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     edges: frozenset[tuple[int, int]]
 
     @staticmethod
@@ -204,8 +202,7 @@ def is_factor_critical(g) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GallaiEdmondsPartition:
+class GallaiEdmondsPartition(NamedTuple):
     I_components: tuple[tuple[int, ...], ...]
     A: tuple[int, ...]
     Z: tuple[int, ...]

@@ -23,16 +23,14 @@ about 2 GB at n = 16 and 6.5 GB at n = 72.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import Configuration, Graph, Plan
 
 DEFAULT_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     decision: Optional[bool]     # None means inconclusive
     plan: Optional[Plan]
     states: int                  # distinct configurations visited

@@ -1,5 +1,6 @@
 """Command line frontend: exit codes, JSON output, file round trips."""
 
+import functools
 import json
 import os
 import pathlib
@@ -206,6 +207,17 @@ def test_gray_long_input(capsys):
     assert code == 0 and data["cycle"] == [[i] for i in range(1, 1101)]
 
 
+@pytest.mark.parametrize("argv", [
+    ("scd", "-n", "21"),                        # 2**21 subsets
+    ("gray", "-m", "1000001", "-k", "1"),       # 1,000,001 subsets
+    ("gray", "-m", "1000001", "-k", "1000000"),
+    ("gray", "-m", "23", "-k", "11"),           # 1,352,078 subsets
+])
+def test_scd_and_gray_refuse_sizes_above_their_limits(capsys, argv):
+    code, data, err = run(capsys, *argv)
+    assert code == 2 and data is None and "the limit of" in err
+
+
 def test_cube_plan_and_verify(tmp_path, capsys):
     out = tmp_path / "q6.json"
     code, data, _ = run(capsys, "cube", "-d", "6", "--verify",
@@ -378,18 +390,30 @@ def test_bad_arguments_are_usage_errors(capsys):
     capsys.readouterr()
 
 
+# Runs main(argv) in a fresh process, then prints the cupstack submodules
+# it loaded, plus `dataclasses` if that is loaded (its import alone costs
+# a process about 20 ms).
 LOADED = ("import json, sys; from cupstack.cli import main; code = main(sys.argv[1:]); "
           "print(json.dumps(sorted(m for m in sys.modules "
-          "if m.startswith('cupstack.')))); sys.exit(code)")
+          "if m.startswith('cupstack.') or m == 'dataclasses'))); sys.exit(code)")
 
 
 def loaded_layers(tmp_path, *argv) -> set[str]:
-    """The cupstack submodules a fresh `cupstack` process loads."""
+    """The cupstack submodules a fresh `cupstack` process loads, and
+    `dataclasses` if it loads that."""
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", LOADED, *argv], cwd=tmp_path,
                           env=env, capture_output=True, text=True, check=True)
-    return {m.split(".")[1] for m in json.loads(proc.stdout.splitlines()[-1])}
+    return {m.rpartition(".")[2] for m in json.loads(proc.stdout.splitlines()[-1])}
+
+
+@functools.cache
+def bare_interpreter_loads_dataclasses() -> bool:
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys; print('dataclasses' in sys.modules)"],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip() == "True"
 
 
 @pytest.mark.parametrize("argv, own, foreign", [
@@ -411,6 +435,10 @@ def loaded_layers(tmp_path, *argv) -> set[str]:
 def test_command_loads_only_its_layers(tmp_path, argv, own, foreign):
     layers = loaded_layers(tmp_path, *argv)
     assert own <= layers and not layers & foreign
+    # No record type needs `dataclasses`; checked unless the interpreter
+    # loads it before any cupstack code runs.
+    if not bare_interpreter_loads_dataclasses():
+        assert "dataclasses" not in layers
 
 
 def readme_commands() -> list[tuple[list[str], int]]:

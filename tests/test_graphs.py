@@ -1,6 +1,7 @@
 """Graph parsing, distances, move semantics, and the two verifiers."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -31,6 +32,19 @@ def test_parse_p3():
 def test_parse_disconnected_rejected():
     with pytest.raises(GraphError, match="disconnected"):
         parse_graph("n 4\ne 0 1\ne 2 3")
+
+
+def test_parse_refuses_too_few_edges_before_building():
+    # A connected graph on n vertices has at least n - 1 edges; a short
+    # file claiming a huge n is refused without n adjacency sets.
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="line 2: graph is disconnected"):
+            parse_graph("# empty\nn 200000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_parse_errors_carry_line_numbers():
@@ -157,22 +171,35 @@ def not_grids() -> list[Graph]:
     ]
 
 
+def relabelled_cycle() -> Graph:
+    """A 9-cycle visiting the vertices out of order: `dist` runs the BFS."""
+    order = [0, 2, 1, 3, 5, 4, 6, 8, 7]
+    return Graph(9, [(order[i], order[i - 1]) for i in range(9)])
+
+
 def distance_graphs() -> list[Graph]:
     rng = random.Random(20261018)
-    return (row_major_grids() + not_grids()
+    return (row_major_grids() + not_grids() + [relabelled_cycle()]
             + [random_connected_graph(rng, rng.randint(2, 12)) for _ in range(20)]
             + [sparse_connected_graph(rng, rng.randint(2, 40)) for _ in range(20)])
 
 
 def test_dist_matches_bfs_before_and_after_matrix():
     # Closed form or two-ended BFS first, then the cached matrix on the
-    # same graph.
+    # same graph.  `not_grids` holds odd and even cycles labelled in
+    # order (the cycle tier); `relabelled_cycle` falls back to the BFS.
     for g in distance_graphs():
         rows = [g.bfs_from(u) for u in range(g.n)]
         for _ in range(2):
             assert [[g.dist(u, v) for v in range(g.n)]
                     for u in range(g.n)] == rows
             g.distances()
+
+
+def test_cycle_tier_recognises_only_cycles_labelled_in_order():
+    assert all(cycle_graph(n)._is_cycle for n in (3, 4, 8, 11))
+    assert not any(g._is_cycle for g in row_major_grids())
+    assert not relabelled_cycle()._is_cycle
 
 
 def test_grid_tier_recognises_only_row_major_grids():
