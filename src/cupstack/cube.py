@@ -18,15 +18,18 @@ matches a weight.
 Every fragment is a cached template of flat moves [s0, d0, s1, d1, ...]
 over relative vertex indices: index i * 2^k + rel is the vertex at
 relative mask rel of the i-th subcube in play, and -1 is the target.
-Emitting a fragment looks its indices up in a table of global vertices
-and appends them to the plan's one flat int array.
+Emitting a fragment adds its labels, times cached 64-bit lane masks, to
+its cached offsets as one big int, and appends that int's bytes to the
+plan's one flat int array.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from .graphs import Configuration, CubeBoard, Plan
@@ -152,15 +155,28 @@ def _offsets(dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _lanes(dims: tuple[int, ...], template: tuple[int, ...]) -> tuple:
+    """`template` as native-order 64-bit lanes, one per entry: the offsets
+    over `dims` (0 for the target), and per subcube i a 1 in its lanes."""
+    offs = _offsets(dims)
+    size = len(offs)
+    pack = lambda xs: int.from_bytes(array("q", xs).tobytes(), sys.byteorder)
+    return (pack(offs[x % size] if x >= 0 else 0 for x in template),
+            tuple(pack(x >= 0 and x // size == i for x in template)
+                  for i in range(max(template, default=-1) // size + 1)))
+
+
 def _emit(out: array, bases: Sequence[int], dims: Sequence[int],
           template: Sequence[int]) -> array:
     """Append a fragment template to `out` and return it: index
     i * 2^k + rel is the vertex at relative mask rel of the subcube at
-    bases[i], and -1, the last table entry, is the target."""
-    offs = _offsets(tuple(dims))
-    table = [base | off for base in bases for off in offs]
-    table.append(0)
-    out.extend(map(table.__getitem__, template))
+    bases[i], and -1 is the target.  Bases must leave the `dims` bits
+    clear (so base | offset == base + offset) and every vertex must stay
+    below 2^63 (d <= 20 keeps it below 2^20), so no lane carries over."""
+    offs, masks = _lanes(tuple(dims), tuple(template))
+    x = offs + sum(map(mul, bases, masks))
+    out.frombytes(x.to_bytes(8 * len(template), sys.byteorder))
     return out
 
 
@@ -378,25 +394,28 @@ class CubePlanResult(NamedTuple):
     phase_moves: dict
 
 
-def _abc_loop(pool: set[int], dims: Sequence[int], out: array) -> list[int]:
-    """Append chain triples from the pool to `out`, highest label first;
+def _abc_loop(pool: bytearray, dims: Sequence[int], out: array) -> list[int]:
+    """Append chain triples from the pool (a flag per label) to `out`,
+    highest level, then highest label, first, clearing the flags they take;
     returns the labels that cannot join any triple (the reported gap)."""
     unassigned: list[int] = []
-    high = sorted((m for m in pool if m.bit_count() >= 9),
-                  key=lambda m: (m.bit_count(), m), reverse=True)
-    for a in high:
-        if a not in pool:           # already in a higher triple
-            continue
-        b = _phi_or_none(a)
-        c = _phi_or_none(b) if b is not None else None
-        if b is None or c is None:
-            pool.remove(a)
-            unassigned.append(a)
-            continue
-        if b not in pool or c not in pool:
-            raise AssertionError("chain neighbors missing from the pool")
-        pool -= {a, b, c}
-        _emit(out, (a, b, c), dims, _abc_flat(a.bit_count()))
+    levels: list[list[int]] = [[] for _ in range(len(pool).bit_length())]
+    for m in compress(range(len(pool)), pool):
+        levels[m.bit_count()].append(m)
+    for level in range(len(levels) - 1, 8, -1):
+        for a in reversed(levels[level]):
+            if not pool[a]:         # already in a higher triple
+                continue
+            pool[a] = 0
+            b = _phi_or_none(a)
+            c = _phi_or_none(b) if b is not None else None
+            if b is None or c is None:
+                unassigned.append(a)
+                continue
+            if not (pool[b] and pool[c]):
+                raise AssertionError("chain neighbors missing from the pool")
+            pool[b] = pool[c] = 0
+            _emit(out, (a, b, c), dims, _abc_flat(level))
     return sorted(unassigned)
 
 
@@ -437,25 +456,26 @@ def plan_cube(d: int) -> CubePlanResult:
         n = d - 3
         dims4 = (d - 4, d - 3, d - 2, d - 1)
         dims3 = dims4[1:]
-        pool: set[int] = set()
+        top = 1 << (n - 1)
+        pool = bytearray(1 << n)
         start = len(out)
-        for label in range(1 << (n - 1)):
+        for label in range(top):
             if label.bit_count() >= 12:
                 _emit(out, (label,), dims4, _solve(4, label.bit_count()))
             else:
-                pool.add(label)
-                pool.add(label | (1 << (n - 1)))
+                pool[label] = pool[label | top] = 1
         phase("high-4cubes", start)
         start = len(out)
         unassigned = _abc_loop(pool, dims3, out)
         phase("chain-triples", start)
         start = len(out)
         plan_level4_3cubes(d, out)
-        pool = {m for m in pool if m.bit_count() != 4}
         phase("level4-3cubes", start)
         start = len(out)
-        for label in sorted(pool):
-            _emit(out, (label,), dims3, _solve(3, label.bit_count()))
+        for label in compress(range(len(pool)), pool):
+            level = label.bit_count()
+            if level != 4:          # the level-4 gadgets above cover these
+                _emit(out, (label,), dims3, _solve(3, level))
         phase("base-3cubes", start)
 
     plan = Plan(1 << d, 0, out)

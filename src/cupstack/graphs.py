@@ -101,8 +101,28 @@ class Graph:
         return n >= 3 and all(nbrs == tuple(sorted(((v - 1) % n, (v + 1) % n)))
                               for v, nbrs in enumerate(self.adj))
 
+    @cached_property
+    def _tree(self) -> Optional[tuple[list[int], list[list[int]]]]:
+        """For a tree (n - 1 edges, as the graph is connected): each
+        vertex's depth below vertex 0, and the ancestor tables up[j][v],
+        the 2^j-th ancestor of v (0 past the root); None otherwise."""
+        n = self.n
+        if sum(map(len, self.adj)) != 2 * (n - 1):
+            return None
+        depth, parent = [0] * n, [0] * n
+        order = [0]
+        for u in order:                 # BFS; a tree reaches each vertex once
+            for w in self.adj[u]:
+                if w != parent[u]:
+                    parent[w], depth[w] = u, depth[u] + 1
+                    order.append(w)
+        up = [parent]
+        for _ in range(max(depth).bit_length() - 1):
+            up.append([up[-1][p] for p in up[-1]])
+        return depth, up
+
     def dist(self, u: int, v: int) -> int:
-        """Hop distance, from the first of four tiers that applies:
+        """Hop distance, from the first of five tiers that applies:
 
         1. the all-pairs matrix, once `distances` has built it;
         2. a closed form when the graph is, edge for edge, a row-major
@@ -111,7 +131,10 @@ class Graph:
            over axes of the difference of the two vertices' digits;
         3. a closed form when it is the cycle labelled in order
            (`cycle_graph`; see `_is_cycle`): the shorter way round;
-        4. otherwise a two-ended BFS.  Each step grows the smaller
+        4. a tree (spiders, stars; see `_tree`): depth(u) + depth(v) -
+           2 depth(lca), the lowest common ancestor found by lifting u and
+           v in powers of two;
+        5. otherwise a two-ended BFS.  Each step grows the smaller
            frontier by one whole layer; the balls of radius `layers`
            split between u and v stay disjoint until a new layer touches
            the other side, and then the distance is `layers + 1`."""
@@ -126,6 +149,21 @@ class Graph:
         if self._is_cycle:
             d = abs(u - v)
             return min(d, self.n - d)
+        tree = self._tree
+        if tree is not None:
+            depth, up = tree
+            du, dv = depth[u], depth[v]
+            if du < dv:
+                u, v, du, dv = v, u, dv, du
+            for j, anc in enumerate(up):    # lift u to v's depth
+                if (du - dv) >> j & 1:
+                    u = anc[u]
+            if u != v:
+                for anc in reversed(up):    # highest ancestors that differ
+                    if anc[u] != anc[v]:
+                        u, v = anc[u], anc[v]
+                u = up[0][u]
+            return du + dv - 2 * depth[u]
         if u == v:
             return 0
         adj = self.adj

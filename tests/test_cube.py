@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import tracemalloc
 from array import array
 from itertools import combinations
@@ -12,8 +13,8 @@ from cupstack import cube
 from cupstack.graphs import Configuration, CubeBoard, Plan, verify_plan
 from cupstack.oracle import oracle_search
 from cupstack.cube import (CubeError, _abc_flat, _emit, _LEVEL3_4CUBE_FLAT, _offsets,
-                           _solve, phi, plan_cube, plan_level4_3cubes,
-                           revolving_door, scd)
+                           _PAIR_FLAT, _solve, _TRIPLE_FLAT, phi, plan_cube,
+                           plan_level4_3cubes, revolving_door, scd)
 
 
 # ------------------------------------------------------------ chain machinery
@@ -155,6 +156,45 @@ def pairs(flat) -> list[tuple[int, int]]:
 
 def subcube_vertices(base: int, dims) -> list[int]:
     return [base | off for off in _offsets(tuple(dims))]
+
+
+def _emit_reference(out, bases, dims, template):
+    """The table lookup that `_emit`'s lane arithmetic replaced: global
+    vertices of every subcube in turn, then the target as entry -1."""
+    offs = _offsets(tuple(dims))
+    table = [base | off for base in bases for off in offs]
+    table.append(0)
+    out.extend(map(table.__getitem__, template))
+    return out
+
+
+def emit_templates() -> list[tuple[int, tuple[int, ...]]]:
+    """(k, template) for every template kind the cube plans emit."""
+    solved = []
+    for k in range(5):
+        for level in range((1 << k) + 1):
+            try:
+                solved.append((k, _solve(k, level)))
+            except CubeError:
+                continue
+    return (solved + [(4, _LEVEL3_4CUBE_FLAT), (3, _PAIR_FLAT), (3, _TRIPLE_FLAT)]
+            + [(3, _abc_flat(level)) for level in range(9, 13)])
+
+
+def test_emit_matches_table_lookup_reference():
+    # dims are the top k bits of d = 20, and the bases are random labels
+    # below them plus the all-ones label, so vertices reach 2^20 - 1.
+    rng = random.Random(20261020)
+    for k, template in emit_templates():
+        dims = tuple(range(20 - k, 20))
+        cubes = max(template, default=-1) // (1 << k) + 1
+        top = (1 << (20 - k)) - 1
+        for trial in range(20):
+            bases = [top if trial == 0 else rng.randrange(top + 1)
+                     for _ in range(cubes)]
+            prefix = [rng.randrange(1 << 20) for _ in range(trial % 3)]
+            assert (_emit(array("q", prefix), bases, dims, template)
+                    == _emit_reference(array("q", prefix), bases, dims, template))
 
 
 def test_low_subcube_k1_level0():
@@ -310,7 +350,8 @@ def test_plan_cube_sequence_pinned(d, digest):
 
 def test_plan_cube_memory_per_move():
     # The plan is one flat array of 8-byte ints, 16 bytes per move; the
-    # peak while building it, from cold caches, stays under 64 per move.
+    # peak while building it, from cold caches, stays under 24 per move,
+    # so fragments go straight into the array, not through a buffer.
     for obj in vars(cube).values():
         if callable(getattr(obj, "cache_clear", None)):
             obj.cache_clear()
@@ -320,4 +361,4 @@ def test_plan_cube_memory_per_move():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * len(result.plan.moves)
+    assert peak < 24 * len(result.plan.moves)

@@ -177,9 +177,25 @@ def relabelled_cycle() -> Graph:
     return Graph(9, [(order[i], order[i - 1]) for i in range(9)])
 
 
+def relabelled_tree(rng: random.Random, n: int) -> Graph:
+    """A random tree whose vertices are shuffled, so that vertex 0, the
+    root of `dist`'s tree tier, may be a leaf, and parents need not
+    precede their children."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[rng.randrange(v)], perm[v]) for v in range(1, n)])
+
+
+def trees() -> list[Graph]:
+    """Graphs whose `dist` takes the tree tier."""
+    rng = random.Random(20261019)
+    return ([spider_graph([3, 1, 4, 1, 5]), star_graph(6)]
+            + [relabelled_tree(rng, rng.randint(3, 60)) for _ in range(30)])
+
+
 def distance_graphs() -> list[Graph]:
     rng = random.Random(20261018)
-    return (row_major_grids() + not_grids() + [relabelled_cycle()]
+    return (row_major_grids() + not_grids() + [relabelled_cycle()] + trees()
             + [random_connected_graph(rng, rng.randint(2, 12)) for _ in range(20)]
             + [sparse_connected_graph(rng, rng.randint(2, 40)) for _ in range(20)])
 
@@ -187,7 +203,8 @@ def distance_graphs() -> list[Graph]:
 def test_dist_matches_bfs_before_and_after_matrix():
     # Closed form or two-ended BFS first, then the cached matrix on the
     # same graph.  `not_grids` holds odd and even cycles labelled in
-    # order (the cycle tier); `relabelled_cycle` falls back to the BFS.
+    # order (the cycle tier); `relabelled_cycle` falls back to the BFS;
+    # `trees` take the tree tier.
     for g in distance_graphs():
         rows = [g.bfs_from(u) for u in range(g.n)]
         for _ in range(2):
@@ -200,6 +217,17 @@ def test_cycle_tier_recognises_only_cycles_labelled_in_order():
     assert all(cycle_graph(n)._is_cycle for n in (3, 4, 8, 11))
     assert not any(g._is_cycle for g in row_major_grids())
     assert not relabelled_cycle()._is_cycle
+
+
+def test_tree_tier_recognises_only_trees():
+    assert all(g._grid_axes is None and not g._is_cycle and g._tree is not None
+               for g in trees())
+    assert not any(g._tree for g in not_grids() + [relabelled_cycle()])
+    assert path_graph(7)._grid_axes is not None      # paths keep the grid tier
+    spider = spider_graph([2, 3])
+    assert spider._tree == ([0, 1, 2, 1, 2, 3], [[0, 0, 1, 0, 3, 4],
+                                                 [0, 0, 0, 0, 0, 3]])
+    assert Graph(6, spider.edges() + [(2, 5)])._tree is None
 
 
 def test_grid_tier_recognises_only_row_major_grids():
