@@ -4,8 +4,11 @@ Exit codes: 0 = yes/accept, 1 = no/reject, 2 = usage or I/O error,
 3 = inconclusive (search budget exhausted), 4 = internal error (a fault
 in cupstack itself; the traceback goes to stderr).
 
-Only `graphs` and `oracle` load with this module; each handler imports
-the other layers it calls, so a process loads only its command's layers.
+Only `graphs` loads with this module; each handler imports the other
+layers it calls, so a process loads only its command's layers: `oracle`
+only for `oracle` and for `decide` and `plan` on a target of
+eccentricity 3 or more, `cube` only for `cube`, `scd`, `gray` and
+`plan --family cube`.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ import json
 import math
 import os
 import sys
+from typing import Optional
 
 from . import graphs
-from . import oracle as oracle_mod
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -43,10 +46,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_budget() -> int:
+def _default_budget() -> Optional[int]:
+    """The validated budget variable, or None for the oracle's default."""
     text = os.environ.get(BUDGET_ENV)
     if text is None:
-        return oracle_mod.DEFAULT_BUDGET
+        return None
     try:
         return _positive_int(text)
     except argparse.ArgumentTypeError as exc:
@@ -101,7 +105,14 @@ def _cmd_gen(args) -> int:
     return EXIT_YES
 
 
-def _solve(g: graphs.Graph, r: int, budget: int):
+def _oracle_search(g: graphs.Graph, initial: graphs.Configuration, r: int,
+                   budget: Optional[int]):
+    from . import oracle
+    return oracle.oracle_search(
+        g, initial, r, oracle.DEFAULT_BUDGET if budget is None else budget)
+
+
+def _solve(g: graphs.Graph, r: int, budget: Optional[int]):
     """The one decision path: a target of eccentricity at most 2 goes to
     the matching test (a dominating target needs the empty matching),
     any other to the exhaustive search.  Returns (method, stackable,
@@ -114,8 +125,7 @@ def _solve(g: graphs.Graph, r: int, budget: int):
         if not w.decision:
             return "ecc2", False, None, w.barrier
         return "ecc2", True, ecc2.plan_from_matching(g, r, w.matching), None
-    res = oracle_mod.oracle_search(
-        g, graphs.Configuration.all_ones(g.n), r, budget)
+    res = _oracle_search(g, graphs.Configuration.all_ones(g.n), r, budget)
     return "oracle", res.decision, res.plan, None
 
 
@@ -170,14 +180,13 @@ def _cmd_plan(args) -> int:
     if plan is None:
         _emit({"target": r, "plan": None, "stackable": False}, args.pretty)
         return EXIT_NO
-    data = plan.to_json_dict()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(data))
+            fh.write(plan.to_json())
         _emit({"target": plan.target, "moves": len(plan.moves),
                "output": args.output}, args.pretty)
     else:
-        _emit(data, args.pretty)
+        _emit(plan.to_json_dict(), args.pretty)
     return EXIT_YES
 
 
@@ -213,7 +222,7 @@ def _cmd_oracle(args) -> int:
         if len(counts) != g.n:
             raise ValueError("configuration length mismatch")
         initial = graphs.Configuration(counts)
-    res = oracle_mod.oracle_search(g, initial, r, args.budget)
+    res = _oracle_search(g, initial, r, args.budget)
     out = {"target": r, "states": res.states, "pruned": res.pruned,
            "rejected_by": res.rejected_by, "stackable": res.decision}
     if res.inconclusive:
@@ -275,12 +284,13 @@ def _cmd_cube(args) -> int:
         out["verified"] = bool(ver)
         if not ver:
             out["reason"] = ver.reason
-    if args.output and res.complete:
+    # Only a plan the command stands behind reaches a file.
+    ok = res.complete and out.get("verified", True)
+    if args.output and ok:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(res.plan.to_json_dict()))
+            fh.write(res.plan.to_json())
         out["output"] = args.output
     _emit(out, args.pretty)
-    ok = res.complete and (out.get("verified", True))
     return EXIT_YES if ok else EXIT_NO
 
 

@@ -13,7 +13,9 @@ split into three spiders; level-4 3-cubes work in pairs or triples of
 adjacent labels along a revolving-door cycle; level-9-and-up 3-cubes
 team up in chain triples (A, phi(A), phi(phi(A))) from a symmetric chain
 decomposition, shuttling single cups between cubes until every pile
-matches a weight.
+matches a weight.  All gadgets are fixed tables: the chain-triple ones
+were found by exhaustive search on Q^3, which tests/test_cube.py repeats,
+so building a plan runs no search and this module needs no `oracle`.
 
 Every fragment is a cached template of flat moves [s0, d0, s1, d1, ...]
 over relative vertex indices: index i * 2^k + rel is the vertex at
@@ -28,12 +30,11 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import compress
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .graphs import Configuration, CubeBoard, Plan
-from .oracle import oracle_search
+from .graphs import Plan
 
 
 class CubeError(ValueError):
@@ -77,37 +78,47 @@ def scd(n: int) -> list[list[int]]:
     return chains
 
 
-def _walk_byte(b: int) -> tuple[int, int, int]:
+def _walk_byte(b: int) -> tuple[int, int, int, int]:
     """Bracket walk over the 8 bits of b, low bit first, +1 for a one and
-    -1 for a zero: (sum, best prefix, first position of the best)."""
-    total, best, pos = 0, -9, 0
+    -1 for a zero: (sum, best prefix, first position of the best, first
+    position of the best minus one), where the empty prefix counts as 0
+    at position -1."""
+    total = best = 0
+    pos = below = -1
     for i in range(8):
         total += 1 if b >> i & 1 else -1
-        if total > best:
-            best, pos = total, i
-    return total, best, pos
+        if total > best:            # steps are +-1: a new best is one up
+            best, pos, below = total, i, pos
+    return total, best, pos, below
 
 
 _WALK = tuple(_walk_byte(b) for b in range(256))
 
 
-def _phi_or_none(mask: int) -> Optional[int]:
-    """Drop the last unmatched one of mask, or None if every one is
-    matched.  A one is unmatched exactly when the bracket walk reaches a
-    new maximum there, so the last one is where the walk first reaches
-    its maximum, if that is above 0; `_WALK` finds it a byte at a time.
-    Zeros above the top one only lower the walk, so n is not needed."""
+def _phi_pair(mask: int) -> tuple[Optional[int], Optional[int]]:
+    """(phi(mask), phi(phi(mask))), each None where a chain bottom is
+    passed.  A one is unmatched exactly when the bracket walk reaches a
+    new maximum there, and phi(mask) keeps the unmatched ones of mask but
+    its last, so phi(phi(mask)) drops the last two: the first positions
+    where the walk reaches its maximum M and M - 1, if these are above 0.
+    `_WALK` finds both a byte at a time; zeros above the top one only
+    lower the walk, so n is not needed."""
     run = best = base = 0
-    pos = -1
+    pos = below = -1
     rest = mask
     while rest:
-        total, top, at = _WALK[rest & 255]
+        total, top, at, at_below = _WALK[rest & 255]
         if run + top > best:
+            # M - 1 is first reached in this byte unless it is the old best.
+            below = base + at_below if run + top - 1 > best else pos
             best, pos = run + top, base + at
         run += total
         rest >>= 8
         base += 8
-    return mask & ~(1 << pos) if pos >= 0 else None
+    if pos < 0:
+        return None, None
+    b = mask & ~(1 << pos)
+    return b, (b & ~(1 << below) if below >= 0 else None)
 
 
 def phi(n: int, mask: int) -> int:
@@ -117,7 +128,7 @@ def phi(n: int, mask: int) -> int:
     one."""
     if mask >> n:
         raise ValueError(f"mask {mask} is not a subset of {n} elements")
-    pred = _phi_or_none(mask)
+    pred = _phi_pair(mask)[0]
     if pred is None:
         raise ValueError("a chain bottom has no predecessor")
     return pred
@@ -210,24 +221,6 @@ def _solve(k: int, l: int) -> tuple[int, ...]:
     raise CubeError(f"level-{l} {k}-cube is not directly stackable")
 
 
-# --------------------------------------------------------- 3-cube gathering
-
-@lru_cache(maxsize=None)
-def _q3_graph():
-    return CubeBoard(3).to_graph()
-
-
-@lru_cache(maxsize=None)
-def _gather3(counts: tuple[int, ...], target: int) -> Optional[tuple[int, ...]]:
-    """Flat moves concentrating a 3-cube configuration on one vertex,
-    found by exhaustive search; None when impossible."""
-    res = oracle_search(_q3_graph(), Configuration(counts), target,
-                        budget=10**6)
-    if res.decision is not True:
-        return None
-    return tuple(res.plan.flat)
-
-
 # ------------------------------------------------------------ gadget library
 
 LEVEL3_4CUBE_GADGET: tuple[tuple[int, int], ...] = (
@@ -299,69 +292,31 @@ def plan_level4_3cubes(d: int, out: array) -> array:
     return out
 
 
-@lru_cache(maxsize=None)
-def _abc9_template() -> tuple[int, int, tuple, tuple, tuple]:
-    """Steal choices and gathers for the level-9 chain triple: one cup
-    hops B->A, one C->B, then each cube piles onto its bottom vertex."""
-    ones = [1] * 8
-    for t1 in range(1, 8):
-        a_counts = list(ones)
-        a_counts[t1] += 1
-        ga = _gather3(tuple(a_counts), 0)
-        if ga is None:
-            continue
-        for t2 in range(1, 8):
-            if t2 == t1:
-                continue
-            b_counts = list(ones)
-            b_counts[t1] = 0
-            b_counts[t2] += 1
-            gb = _gather3(tuple(b_counts), 0)
-            if gb is None:
-                continue
-            c_counts = list(ones)
-            c_counts[t2] = 0
-            gc = _gather3(tuple(c_counts), 0)
-            if gc is None:
-                continue
-            return t1, t2, ga, gb, gc
-    raise AssertionError("no feasible level-9 triple template")
+# Chain-triple gadgets at levels 9 to 12.  A gather is the flat moves,
+# over relative 3-cube masks, that pile a cube's cups on one vertex; each
+# was found by exhaustive search on Q^3, which tests/test_cube.py repeats.
 
+# Level 9, (t1, t2, ga, gb, gc): one cup hops from B's t1 to A's t1 and
+# one from C's t2 to B's t2, then ga, gb and gc gather A, B and C onto
+# their bottom vertex.
+_ABC9 = (3, 1,
+         (1, 0, 2, 0, 3, 0, 4, 0, 5, 7, 6, 7, 7, 0),
+         (1, 7, 2, 6, 4, 5, 5, 0, 6, 0, 7, 0),
+         (2, 0, 3, 7, 4, 5, 5, 0, 6, 7, 7, 0))
 
-@lru_cache(maxsize=None)
-def _steal5_template(l: int) -> tuple[int, tuple[int, ...], tuple]:
-    """Launch pattern for chain triples at levels 10 to 12.  A and C each
-    pile their own eight cups on the exit vertex t; B splits into piles
-    of 2+3 for A and 1+2 for C, launched from vertices whose distance to
-    the landing vertex equals the pile size."""
-    j = 13 - l
-    t = (1 << j) - 1            # relative mask of both exit vertices
-    others = [v for v in range(8) if v != t]
-    for x in others:            # pile-2 launch toward A, plus its feeder
-        if (x ^ t).bit_count() != 1:
-            continue
-        for fx in others:
-            if fx == x or (fx ^ x).bit_count() != 1:
-                continue
-            for y in others:    # pile-3 launch toward A, two feeders
-                if y in (x, fx) or (y ^ t).bit_count() != 2:
-                    continue
-                feeders = [f for f in others
-                           if f not in (x, fx, y) and (f ^ y).bit_count() == 1]
-                for fy1, fy2 in combinations(feeders, 2):
-                    for z in others:   # pile-2 launch toward C, one feeder
-                        if z in (x, fx, y, fy1, fy2):
-                            continue
-                        if (z ^ t).bit_count() != 1:
-                            continue
-                        rest = set(range(8)) - {t, x, fx, y, fy1, fy2, z}
-                        if len(rest) != 1:
-                            continue
-                        fz = rest.pop()
-                        if (fz ^ z).bit_count() != 1:
-                            continue
-                        return t, (x, fx, y, fy1, fy2, z, fz), _gather3((1,) * 8, t)
-    raise AssertionError(f"no feasible steal pattern at level {l}")
+# Levels 10 to 12, level -> (t, (x, fx, y, fy1, fy2, z, fz), gather): A and
+# C each gather their eight cups on the exit vertex t = 2^(13 - l) - 1,
+# and B feeds fx to x and fy1, fy2 to y, whose piles of 2 and 3 (x is one
+# hop from t, y two) land on A's t; then B's t and z, fed by fz, land on
+# C's t with piles of 1 and 2.
+_STEAL5 = {
+    10: (7, (3, 1, 2, 0, 6, 5, 4),
+         (0, 1, 1, 7, 3, 2, 2, 7, 5, 4, 4, 7, 6, 7)),
+    11: (3, (1, 0, 5, 4, 7, 2, 6),
+         (0, 1, 1, 4, 2, 6, 4, 3, 6, 3, 7, 5, 5, 3)),
+    12: (1, (0, 2, 4, 5, 6, 3, 7),
+         (0, 1, 2, 6, 3, 1, 4, 6, 5, 7, 6, 1, 7, 1)),
+}
 
 
 @lru_cache(maxsize=None)
@@ -370,11 +325,11 @@ def _abc_flat(l: int) -> tuple[int, ...]:
     A, B, C = 0, 8, 16
     shift = lambda gather, cube: tuple(x + cube for x in gather)
     if l == 9:
-        t1, t2, ga, gb, gc = _abc9_template()
+        t1, t2, ga, gb, gc = _ABC9
         return ((B + t1, A + t1) + shift(ga, A) + (A, -1)     # 9 cups, weight 9
                 + (C + t2, B + t2) + shift(gb, B) + (B, -1)   # 8 cups, weight 8
                 + shift(gc, C) + (C, -1))                     # 7 cups, weight 7
-    t, (x, fx, y, fy1, fy2, z, fz), gather = _steal5_template(l)
+    t, (x, fx, y, fy1, fy2, z, fz), gather = _STEAL5[l]
     return (shift(gather, A)                                  # A's 8 cups on a_t
             + (B + fx, B + x, B + x, A + t,
                B + fy1, B + y, B + fy2, B + y, B + y, A + t)
@@ -407,9 +362,8 @@ def _abc_loop(pool: bytearray, dims: Sequence[int], out: array) -> list[int]:
             if not pool[a]:         # already in a higher triple
                 continue
             pool[a] = 0
-            b = _phi_or_none(a)
-            c = _phi_or_none(b) if b is not None else None
-            if b is None or c is None:
+            b, c = _phi_pair(a)
+            if c is None:
                 unassigned.append(a)
                 continue
             if not (pool[b] and pool[c]):

@@ -346,6 +346,12 @@ class MoveView(Sequence):
         return f"MoveView({list(self)!r})"
 
 
+# Plan.to_json formats this many moves per `%`, so the tuple of ints it
+# formats from stays small whatever the plan's length.
+_JSON_BLOCK = 4096
+_JSON_BLOCK_FORMAT = ", ".join(["[%d, %d]"] * _JSON_BLOCK)
+
+
 class _Plan(NamedTuple):
     n: int
     target: int
@@ -377,6 +383,22 @@ class Plan(_Plan):
         if self.initial is not None:
             out["initial"] = list(self.initial.counts)
         return out
+
+    def to_json(self) -> str:
+        """The plan file: exactly the text of json.dumps(to_json_dict()),
+        with the moves formatted by one `%` per block of moves instead of
+        a list per move."""
+        blocks = []
+        for i in range(0, len(self.flat), 2 * _JSON_BLOCK):
+            block = self.flat[i:i + 2 * _JSON_BLOCK]
+            fmt = (_JSON_BLOCK_FORMAT if len(block) == 2 * _JSON_BLOCK
+                   else ", ".join(["[%d, %d]"] * (len(block) // 2)))
+            blocks.append(fmt % tuple(block))
+        text = '{"n": %d, "target": %d, "moves": [%s]' % (
+            self.n, self.target, ", ".join(blocks))
+        if self.initial is not None:
+            text += ', "initial": [%s]' % ", ".join(map(str, self.initial.counts))
+        return text + "}"
 
     @staticmethod
     def from_json_dict(data) -> "Plan":

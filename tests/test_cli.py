@@ -265,6 +265,16 @@ def test_cube_incomplete_writes_no_plan_file(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_cube_rejected_plan_writes_no_plan_file(tmp_path, capsys, monkeypatch):
+    # A complete plan that --verify rejects is not written either.
+    monkeypatch.setattr(graphs, "verify_plan", lambda board, plan:
+                        graphs.VerifyResult(False, 0, "rejected for the test"))
+    out = tmp_path / "q5.json"
+    code, data, _ = run(capsys, "cube", "-d", "5", "--verify", "-o", str(out))
+    assert code == 1 and data["complete"] is True and data["verified"] is False
+    assert "output" not in data and not out.exists()
+
+
 def test_cube_d19_runs_ungated(capsys):
     code, data, _ = run(capsys, "cube", "-d", "19")
     assert code == 0 and data["complete"] and data["moves"] == 2**19 - 1
@@ -419,10 +429,10 @@ def bare_interpreter_loads_dataclasses() -> bool:
 @pytest.mark.parametrize("argv, own, foreign", [
     (("verify", "-g", str(FIXTURES / "p4.graph"),
       "-p", str(FIXTURES / "p4.plan.json")),
-     {"graphs"}, {"cube", "ecc2", "matching", "families"}),
-    (("cube", "-d", "8"), {"cube"}, {"ecc2", "matching", "families"}),
+     {"graphs"}, {"cube", "ecc2", "matching", "families", "oracle"}),
+    (("cube", "-d", "8"), {"cube"}, {"ecc2", "matching", "families", "oracle"}),
     (("decide", "-g", str(FIXTURES / "petersen.graph"), "-r", "0"),
-     {"ecc2", "matching"}, {"cube", "families"}),
+     {"ecc2", "matching"}, {"cube", "families", "oracle"}),
     (("decide", "-g", str(FIXTURES / "k4.graph"), "-r", "0"),
      {"ecc2", "matching"}, {"cube", "families"}),
     (("gen", "path", "4"), {"families"}, {"cube", "ecc2", "matching"}),
@@ -430,7 +440,7 @@ def bare_interpreter_loads_dataclasses() -> bool:
      {"families"}, {"cube", "ecc2", "matching"}),
     (("verify", "-g", str(FIXTURES / "grid9x8.graph"),
       "-p", str(FIXTURES / "grid9x8.plan.json")),
-     {"graphs"}, {"cube", "ecc2", "matching", "families"}),
+     {"graphs"}, {"cube", "ecc2", "matching", "families", "oracle"}),
 ])
 def test_command_loads_only_its_layers(tmp_path, argv, own, foreign):
     layers = loaded_layers(tmp_path, *argv)

@@ -1,5 +1,6 @@
 """Symmetric chains, revolving-door order, subcube fragments, cube plans."""
 
+import functools
 import hashlib
 import json
 import random
@@ -73,12 +74,19 @@ def test_phi_is_chain_predecessor():
 
 def test_phi_table_matches_bracket_scan():
     # Every mask below 2^17, taken at its own width n (top bit n - 1):
-    # the byte table agrees with the bit-by-bit bracket scan.
+    # the byte table agrees with the bit-by-bit bracket scan, and the same
+    # walk gives phi(phi(mask)), None where a chain bottom is passed.
     for n in range(18):
         for mask in range(1 << n >> 1, 1 << n):
             ones, _ = cube._unmatched(n, mask)
             expected = mask & ~(1 << ones[-1]) if ones else None
-            assert cube._phi_or_none(mask) == expected, (n, mask)
+            b, c = cube._phi_pair(mask)
+            assert b == expected, (n, mask)
+            try:
+                expected = phi(n, phi(n, mask))
+            except ValueError:
+                expected = None
+            assert c == expected, (n, mask)
 
 
 def test_phi_rejects_mask_wider_than_n():
@@ -301,6 +309,103 @@ def test_abc_triple_levels():
             # the 13-cup jump from the top pile is the signature move
             assert any(src.bit_count() == 13 and dst == 0
                        for src, dst in pairs(moves))
+
+
+# ------------------------------------------------ chain-triple gadget tables
+# The exhaustive searches that found cube._ABC9 and cube._STEAL5; the
+# tables must hold exactly what they return.
+
+@functools.cache
+def _gather3(counts: tuple[int, ...], target: int):
+    """Flat moves concentrating a 3-cube configuration on one vertex,
+    found by exhaustive search; None when impossible."""
+    res = oracle_search(CubeBoard(3).to_graph(), Configuration(counts), target,
+                        budget=10**6)
+    return tuple(res.plan.flat) if res.decision is True else None
+
+
+def _abc9_template():
+    """Steal choices and gathers for the level-9 chain triple: one cup
+    hops B->A, one C->B, then each cube piles onto its bottom vertex."""
+    ones = [1] * 8
+    for t1 in range(1, 8):
+        a_counts = list(ones)
+        a_counts[t1] += 1
+        ga = _gather3(tuple(a_counts), 0)
+        if ga is None:
+            continue
+        for t2 in range(1, 8):
+            if t2 == t1:
+                continue
+            b_counts = list(ones)
+            b_counts[t1] = 0
+            b_counts[t2] += 1
+            gb = _gather3(tuple(b_counts), 0)
+            if gb is None:
+                continue
+            c_counts = list(ones)
+            c_counts[t2] = 0
+            gc = _gather3(tuple(c_counts), 0)
+            if gc is None:
+                continue
+            return t1, t2, ga, gb, gc
+    raise AssertionError("no feasible level-9 triple template")
+
+
+def _steal5_template(l: int):
+    """Launch pattern for chain triples at levels 10 to 12: the first
+    exit vertex t, pile-2 and pile-3 launches toward A with their feeders
+    and a pile-2 launch toward C with its feeder that cover B's other
+    seven vertices, and the gather of all eight cups on t."""
+    j = 13 - l
+    t = (1 << j) - 1            # relative mask of both exit vertices
+    others = [v for v in range(8) if v != t]
+    for x in others:            # pile-2 launch toward A, plus its feeder
+        if (x ^ t).bit_count() != 1:
+            continue
+        for fx in others:
+            if fx == x or (fx ^ x).bit_count() != 1:
+                continue
+            for y in others:    # pile-3 launch toward A, two feeders
+                if y in (x, fx) or (y ^ t).bit_count() != 2:
+                    continue
+                feeders = [f for f in others
+                           if f not in (x, fx, y) and (f ^ y).bit_count() == 1]
+                for fy1, fy2 in combinations(feeders, 2):
+                    for z in others:   # pile-2 launch toward C, one feeder
+                        if z in (x, fx, y, fy1, fy2):
+                            continue
+                        if (z ^ t).bit_count() != 1:
+                            continue
+                        rest = set(range(8)) - {t, x, fx, y, fy1, fy2, z}
+                        if len(rest) != 1:
+                            continue
+                        fz = rest.pop()
+                        if (fz ^ z).bit_count() != 1:
+                            continue
+                        return t, (x, fx, y, fy1, fy2, z, fz), _gather3((1,) * 8, t)
+    raise AssertionError(f"no feasible steal pattern at level {l}")
+
+
+def test_gadget_tables_match_reference_searches():
+    assert cube._ABC9 == _abc9_template()
+    assert cube._STEAL5 == {l: _steal5_template(l) for l in (10, 11, 12)}
+
+
+def test_gadget_gathers_replay_on_q3():
+    # Each gather, from the configuration its cube holds when it starts,
+    # leaves every cup on its target vertex.
+    t1, t2, ga, gb, gc = cube._ABC9
+    ones = [1] * 8
+    a_start, b_start, c_start = list(ones), list(ones), list(ones)
+    a_start[t1] = 2
+    b_start[t1], b_start[t2] = 0, 2
+    c_start[t2] = 0
+    cases = [(ga, a_start, 0), (gb, b_start, 0), (gc, c_start, 0)]
+    cases += [(gather, ones, t) for t, _, gather in cube._STEAL5.values()]
+    for gather, start, target in cases:
+        plan = Plan(8, target, gather, Configuration(tuple(start)))
+        assert verify_plan(CubeBoard(3), plan), (gather, start, target)
 
 
 # --------------------------------------------------------------- full plans

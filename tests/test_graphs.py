@@ -1,7 +1,9 @@
 """Graph parsing, distances, move semantics, and the two verifiers."""
 
+import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +13,13 @@ from cupstack.graphs import (Configuration, CubeBoard, Graph, GraphError,
                              apply_move, diameter, eccentricity, format_graph,
                              legal_move, parse_graph, shells,
                              verify_partition, verify_plan)
+from cupstack.cube import plan_cube
 from cupstack.families import (FAMILIES, complete_graph, cube_graph,
                                cycle_graph, grid_graph, kneser_graph,
                                path_graph, petersen_graph, plan_grid,
                                spider_graph, star_graph)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 # ------------------------------------------------------------------- parsing
@@ -432,6 +437,21 @@ def test_plan_json_round_trip():
     assert again == plan
     assert list(again.moves) == [Move(2, 1), Move(1, 3), Move(3, 0)]
     assert again.moves[-1] == Move(3, 0) and len(again.moves) == 3
+
+
+def test_plan_to_json_is_json_dumps():
+    # The one-pass writer gives json.dumps's bytes, and they read back.
+    # plan_cube(13) has 8,191 moves: a full block of formatted moves plus
+    # a tail.
+    with open(FIXTURES / "p4.plan.json", encoding="utf-8") as fh:
+        p4 = Plan.from_json_dict(json.load(fh))
+    plans = [Plan(1, 0, []),
+             Plan(4, 2, [0, 1, 3, 2, 1, 2], Configuration((2, 1, 1, 1))),
+             p4, plan_cube(10).plan, plan_cube(13).plan]
+    for plan in plans:
+        text = plan.to_json()
+        assert text == json.dumps(plan.to_json_dict())
+        assert Plan.from_json_dict(json.loads(text)) == plan
 
 
 def test_plan_from_json_rejects_non_integers():

@@ -162,7 +162,8 @@ def test_prunes_keep_every_verdict():
 
 
 def test_prunes_keep_gather3_verdicts():
-    # 3-cube configurations with empty vertices, as cube._gather3 asks.
+    # 3-cube configurations with empty vertices, as the searches behind
+    # the chain-triple gathers in tests/test_cube.py ask.
     q3 = CubeBoard(3).to_graph()
     rng = random.Random(8)
     for _ in range(150):
