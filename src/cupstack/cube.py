@@ -20,9 +20,9 @@ so building a plan runs no search and this module needs no `oracle`.
 Every fragment is a cached template of flat moves [s0, d0, s1, d1, ...]
 over relative vertex indices: index i * 2^k + rel is the vertex at
 relative mask rel of the i-th subcube in play, and -1 is the target.
-Emitting a fragment adds its labels, times cached 64-bit lane masks, to
+Emitting a fragment adds its labels, times cached 32-bit lane masks, to
 its cached offsets as one big int, and appends that int's bytes to the
-plan's one flat int array.
+plan's one flat int array (typecode `graphs.PLAN_TYPECODE`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from itertools import compress
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
-from .graphs import Plan
+from .graphs import PLAN_TYPECODE, Plan
 
 
 class CubeError(ValueError):
@@ -168,11 +168,13 @@ def _offsets(dims: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _lanes(dims: tuple[int, ...], template: tuple[int, ...]) -> tuple:
-    """`template` as native-order 64-bit lanes, one per entry: the offsets
-    over `dims` (0 for the target), and per subcube i a 1 in its lanes."""
+    """`template` as native-order lanes of PLAN_TYPECODE, 32 bits, one
+    per entry: the offsets over `dims` (0 for the target), and per
+    subcube i a 1 in its lanes."""
     offs = _offsets(dims)
     size = len(offs)
-    pack = lambda xs: int.from_bytes(array("q", xs).tobytes(), sys.byteorder)
+    pack = lambda xs: int.from_bytes(array(PLAN_TYPECODE, xs).tobytes(),
+                                     sys.byteorder)
     return (pack(offs[x % size] if x >= 0 else 0 for x in template),
             tuple(pack(x >= 0 and x // size == i for x in template)
                   for i in range(max(template, default=-1) // size + 1)))
@@ -184,10 +186,10 @@ def _emit(out: array, bases: Sequence[int], dims: Sequence[int],
     i * 2^k + rel is the vertex at relative mask rel of the subcube at
     bases[i], and -1 is the target.  Bases must leave the `dims` bits
     clear (so base | offset == base + offset) and every vertex must stay
-    below 2^63 (d <= 20 keeps it below 2^20), so no lane carries over."""
+    below 2^31 (d <= 20 keeps it below 2^20), so no lane carries over."""
     offs, masks = _lanes(tuple(dims), tuple(template))
     x = offs + sum(map(mul, bases, masks))
-    out.frombytes(x.to_bytes(8 * len(template), sys.byteorder))
+    out.frombytes(x.to_bytes(out.itemsize * len(template), sys.byteorder))
     return out
 
 
@@ -381,7 +383,7 @@ def plan_cube(d: int) -> CubePlanResult:
     unassigned."""
     if not 0 <= d <= 20:
         raise CubeError("plans are only constructed for 0 <= d <= 20")
-    out = array("q")
+    out = array(PLAN_TYPECODE)
     phases: dict[str, int] = {}
     unassigned: list[int] = []
 

@@ -352,6 +352,11 @@ _JSON_BLOCK = 4096
 _JSON_BLOCK_FORMAT = ", ".join(["[%d, %d]"] * _JSON_BLOCK)
 
 
+# The typecode of every Plan.flat: a 4-byte signed int.  n cups take
+# n - 1 moves, so no plan that could be accepted names a vertex of 2^31.
+PLAN_TYPECODE = "i"
+
+
 class _Plan(NamedTuple):
     n: int
     target: int
@@ -361,13 +366,14 @@ class _Plan(NamedTuple):
 
 class Plan(_Plan):
     """A move sequence stored as one flat int array [s0, d0, s1, d1, ...]
-    of 8 bytes per entry; `moves` reads it as Move objects."""
+    of 4 bytes per entry (typecode PLAN_TYPECODE), 8 bytes per move;
+    `moves` reads it as Move objects."""
     __slots__ = ()
 
     def __new__(cls, n: int, target: int, flat,
                 initial: Optional[Configuration] = None):
-        if not (isinstance(flat, array) and flat.typecode == "q"):
-            flat = array("q", flat)
+        if not (isinstance(flat, array) and flat.typecode == PLAN_TYPECODE):
+            flat = array(PLAN_TYPECODE, flat)
         if len(flat) % 2:
             raise ValueError("flat move array has odd length")
         return super().__new__(cls, n, target, flat, initial)
@@ -403,7 +409,8 @@ class Plan(_Plan):
     @staticmethod
     def from_json_dict(data) -> "Plan":
         """Build a plan from parsed JSON, accepting only JSON integers
-        (not floats, strings or booleans) as numbers."""
+        (not floats, strings or booleans) as numbers, and as vertices only
+        those that fit PLAN_TYPECODE (-2^31 to 2^31 - 1)."""
         if not isinstance(data, dict):
             raise ValueError("plan must be a JSON object")
         for key in ("n", "target", "moves"):
@@ -414,7 +421,7 @@ class Plan(_Plan):
         moves = data["moves"]
         if not isinstance(moves, list):
             raise ValueError("plan moves must be a list")
-        flat = array("q")
+        flat = array(PLAN_TYPECODE)
         for i, mv in enumerate(moves):
             if not (isinstance(mv, list) and len(mv) == 2
                     and type(mv[0]) is int and type(mv[1]) is int):
@@ -468,9 +475,18 @@ class VerifyResult(NamedTuple):
 
 
 class _OnesStart(dict):
-    """Cup counts of an all-ones start, stored only where they changed."""
+    """Cup counts of an all-ones start on vertices 0..n-1, stored only
+    where they changed; a vertex past n raises IndexError, as a list
+    start's would."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
 
     def __missing__(self, v: int) -> int:
+        if v >= self.n:
+            raise IndexError(v)
         return 1
 
 
@@ -493,27 +509,41 @@ def verify_plan(board, plan: Plan, initial: Optional[Configuration] = None) -> V
         # only its own length.  Each move empties one vertex for good (a
         # destination must hold a cup), so n cups take n - 1 moves, 2n - 2
         # entries: such a plan fails unless n = 1.
-        counts = [1] * n if n <= len(plan.flat) else _OnesStart()
+        counts = [1] * n if n <= len(plan.flat) else _OnesStart(n)
         total = n
     else:
         counts = list(config.counts)
         total = sum(counts)
     dist = board.dist
-    it = iter(plan.flat)
-    for i, src, dst in zip(count(), it, it):
-        if not (0 <= src < n and 0 <= dst < n):
+    # The moves are read as unsigned 32-bit ints, so a negative vertex
+    # reads as 2^31 or more and every vertex outside 0..n-1 raises
+    # IndexError when `counts` is indexed: no move pays a range test of
+    # its own.  Counts are never negative, so `pile and top` tests that
+    # both ends hold a cup, and dist is only asked about such moves.  A
+    # rejection's reason is built after the loop, from the failing move.
+    with memoryview(plan.flat).cast("B").cast("I") as view:
+        it = iter(view)
+        try:
+            for i, src, dst in zip(count(), it, it):
+                pile = counts[src]
+                top = counts[dst]
+                if not (pile and top and dist(src, dst) == pile):
+                    break
+                counts[dst] = top + pile
+                counts[src] = 0
+            else:
+                i = None
+        except IndexError:
+            if src < n and dst < n:     # raised by the board, not counts
+                raise
             return VerifyResult(False, i, f"move {i}: vertex out of range")
-        pile = counts[src]
+    if i is not None:
         if pile < 1:
             return VerifyResult(False, i, f"move {i}: source {src} empty")
-        if counts[dst] < 1:
+        if top < 1:
             return VerifyResult(False, i, f"move {i}: destination {dst} empty")
-        d = dist(src, dst)
-        if d != pile:
-            return VerifyResult(
-                False, i, f"move {i}: pile {pile} at {src} but dist({src},{dst})={d}")
-        counts[dst] += pile
-        counts[src] = 0
+        return VerifyResult(False, i, f"move {i}: pile {pile} at {src} but "
+                            f"dist({src},{dst})={dist(src, dst)}")
     if counts[plan.target] != total:
         return VerifyResult(False, None, "final configuration not concentrated on target")
     return VerifyResult(True)

@@ -156,6 +156,15 @@ def test_verify_rejects_non_integer_plan(tmp_path, capsys, moves, index):
     assert code == 2 and data is None and f"move {index}" in err
 
 
+def test_verify_refuses_plan_vertex_past_32_bits(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 4, "target": 0,
+                               "moves": [[1, 0], [2 ** 31, 2], [2, 0]]}))
+    code, data, err = run(capsys, "verify", "-g", str(FIXTURES / "p4.graph"),
+                          "-p", str(bad))
+    assert code == 2 and data is None and "move 1: vertex out of range" in err
+
+
 def test_plan_family_grid(capsys):
     code, data, _ = run(capsys, "plan", "--family", "grid",
                         "--params", "3", "3", "-r", "4")

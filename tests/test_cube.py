@@ -11,7 +11,7 @@ from itertools import combinations
 import pytest
 
 from cupstack import cube
-from cupstack.graphs import Configuration, CubeBoard, Plan, verify_plan
+from cupstack.graphs import PLAN_TYPECODE, Configuration, CubeBoard, Plan, verify_plan
 from cupstack.oracle import oracle_search
 from cupstack.cube import (CubeError, _abc_flat, _emit, _LEVEL3_4CUBE_FLAT, _offsets,
                            _PAIR_FLAT, _solve, _TRIPLE_FLAT, phi, plan_cube,
@@ -201,18 +201,19 @@ def test_emit_matches_table_lookup_reference():
             bases = [top if trial == 0 else rng.randrange(top + 1)
                      for _ in range(cubes)]
             prefix = [rng.randrange(1 << 20) for _ in range(trial % 3)]
-            assert (_emit(array("q", prefix), bases, dims, template)
-                    == _emit_reference(array("q", prefix), bases, dims, template))
+            got = _emit(array(PLAN_TYPECODE, prefix), bases, dims, template)
+            want = _emit_reference(array(PLAN_TYPECODE, prefix), bases, dims, template)
+            assert got == want
 
 
 def test_low_subcube_k1_level0():
-    moves = _emit(array("q"), (0b0,), (0,), _solve(1, 0))
+    moves = _emit(array(PLAN_TYPECODE), (0b0,), (0,), _solve(1, 0))
     assert pairs(moves) == [(1, 0)]
     replay_fragment(1, moves, [0, 1])
 
 
 def test_low_subcube_full_q3():
-    moves = _emit(array("q"), (0,), (0, 1, 2), _solve(3, 0))
+    moves = _emit(array(PLAN_TYPECODE), (0,), (0, 1, 2), _solve(3, 0))
     replay_fragment(3, moves, range(8))
 
 
@@ -230,12 +231,12 @@ def test_low_subcube_all_placements_small():
                     template = _solve(k, base.bit_count())
                 except CubeError:
                     continue      # level out of the fragment's window
-                moves = _emit(array("q"), (base,), dims, template)
+                moves = _emit(array(PLAN_TYPECODE), (base,), dims, template)
                 replay_fragment(d, moves, subcube_vertices(base, dims))
 
 
 def test_high_kcube_level5_3cube():
-    moves = _emit(array("q"), (0b11111,), (5, 6, 7), _solve(3, 5))
+    moves = _emit(array(PLAN_TYPECODE), (0b11111,), (5, 6, 7), _solve(3, 5))
     assert len(pairs(moves)) == 8     # 7 in-cube moves plus the jump
     src, dst = pairs(moves)[-1]
     assert src.bit_count() == 8 and dst == 0
@@ -244,7 +245,7 @@ def test_high_kcube_level5_3cube():
 
 def test_high_kcube_4cube_in_q16():
     base = sum(1 << i for i in range(12))
-    moves = _emit(array("q"), (base,), (12, 13, 14, 15), _solve(4, 12))
+    moves = _emit(array(PLAN_TYPECODE), (base,), (12, 13, 14, 15), _solve(4, 12))
     assert len(pairs(moves)) == 16
     src, dst = pairs(moves)[-1]
     assert src.bit_count() == 16 and dst == 0
@@ -256,7 +257,7 @@ def test_high_kcube_level16_forced_placement():
     # and the subcube's top vertex is the global all-ones vertex.
     base = (1 << 16) - 1
     dims = (16, 17, 18, 19)
-    moves = _emit(array("q"), (base,), dims, _solve(4, 16))
+    moves = _emit(array(PLAN_TYPECODE), (base,), dims, _solve(4, 16))
     assert pairs(moves)[-1] == (base, 0)
     assert base | _offsets(dims)[0b1111] == (1 << 20) - 1
 
@@ -269,7 +270,7 @@ def test_high_kcube_level_window():
 def test_level3_4cube_gadget():
     base = 0b111
     dims = (3, 4, 5, 6)
-    moves = _emit(array("q"), (base,), dims, _LEVEL3_4CUBE_FLAT)
+    moves = _emit(array(PLAN_TYPECODE), (base,), dims, _LEVEL3_4CUBE_FLAT)
     assert len(pairs(moves)) == 16    # each of the 16 cups moves exactly once
     exits = [(a, b) for a, b in pairs(moves) if b == 0]
     assert sorted(a.bit_count() for a, _ in exits) == [3, 6, 7]
@@ -278,14 +279,14 @@ def test_level3_4cube_gadget():
 
 def test_level4_gadgets_d8():
     # C(5,4) = 5 level-4 labels: one triple plus one pair.
-    moves = plan_level4_3cubes(8, array("q"))
+    moves = plan_level4_3cubes(8, array(PLAN_TYPECODE))
     labels = [sum(1 << (e - 1) for e in c) for c in revolving_door(5, 4)]
     vertices = [v for l in labels for v in subcube_vertices(l, (5, 6, 7))]
     replay_fragment(8, moves, vertices)
 
 
 def test_level4_gadgets_d9():
-    moves = plan_level4_3cubes(9, array("q"))
+    moves = plan_level4_3cubes(9, array(PLAN_TYPECODE))
     labels = [sum(1 << (e - 1) for e in c) for c in revolving_door(6, 4)]
     vertices = [v for l in labels for v in subcube_vertices(l, (6, 7, 8))]
     replay_fragment(9, moves, vertices)
@@ -301,7 +302,7 @@ def test_abc_triple_levels():
         b = phi(n, a)
         c = phi(n, b)
         dims = (d - 3, d - 2, d - 1)
-        moves = _emit(array("q"), (a, b, c), dims, _abc_flat(l))
+        moves = _emit(array(PLAN_TYPECODE), (a, b, c), dims, _abc_flat(l))
         vertices = [v for base in (a, b, c)
                     for v in subcube_vertices(base, dims)]
         replay_fragment(d, moves, vertices)
@@ -440,6 +441,10 @@ def test_plan_cube_deterministic():
     assert plan_cube(9).plan.moves == plan_cube(9).plan.moves
 
 
+# Built once per d for the two pin tests below.
+_pinned_plan = functools.cache(lambda d: plan_cube(d).plan)
+
+
 @pytest.mark.parametrize("d, digest", [
     (7, "e42767e8c0455d56eb3c2c45a625494c868fb39c193f36bbbcac90a8e964ebe4"),
     (13, "a92e0f8c13a594e1b9d00272ba570fba15cde27a9f5dbfdf62ab1c0d9431dc15"),
@@ -449,13 +454,48 @@ def test_plan_cube_deterministic():
 def test_plan_cube_sequence_pinned(d, digest):
     # Pinned SHA-256 of the JSON move list: the fragment templates must
     # reproduce these plans move for move.
-    moves = json.dumps(plan_cube(d).plan.to_json_dict()["moves"])
+    moves = json.dumps(_pinned_plan(d).to_json_dict()["moves"])
     assert hashlib.sha256(moves.encode()).hexdigest() == digest
 
 
+# SHA-256 of plan_cube(d).plan.to_json() for d = 0..20, the plan file
+# `cupstack cube -d D -o` writes (d = 20's plan is the incomplete one).
+PLAN_FILE_DIGESTS = (
+    "464d675ae35ba37de4fdb2a98ca2245b3358ee9bcac6ccc77c3e5c0f95884f3b",
+    "902fc448417024ed8d067e728bc33c80927e3eb2e12c02da5c1632ca9ef920f7",
+    "d79d2bf50aec2f065ef97978347c333a713cbefdd7efac646821d9f50b0823fd",
+    "9292b2ff5aae9a9354bdc9ee242ef7c514573a9ed878fc3f5b894f85d1e927ef",
+    "72cf42fee79d14e4a53833a690dfbf9b4bc973db88dca654d46e8a0388bf47bb",
+    "5f2a20129a4547b7c40449f66248a98f6a2c39b6bdb977d70a60a49f71301cf9",
+    "e27a0f978162fa1d3611c6e5a54aba3f743853f9553275339f13a07bafeb92c7",
+    "eb7a8d17f55470fe96a45ea6c6455895f4e86338484b4755232cc86bc8ec87ce",
+    "7aad9f16f962da7bc46c0e4cf4477305a332d317ced0f7e693d1608cb1a78ec9",
+    "6617c5f338bac00837fba26e4bba5cbbf62f37152d4c9bb2ef738b173fa131fa",
+    "c057c3f2772fb73a2eb4b7d4548b6452acb7884fe533d690dc55674c29ed3584",
+    "c7837c88b985176f4e77a51c07a7adb0533ed06695e9e822f1d60a993a87523c",
+    "acbf972a6e547cc9e3c3b0eb9b770894a574fae513a6982868ba0ae36f44103b",
+    "533476bcf09d3043c9bb55ad0fcaefcea8a60ce0d283fc36c9b811b6fb21fd0f",
+    "e5cec38eb91d97879d86af9ac230bfa79ad76d03dd0f3846246323dde83b2b64",
+    "21ef43f2f2bda7c39610d5c416180356a4d6f1ccbe74759f6b6f41312a567f9f",
+    "0072176281a8909e6f6715e13440a6cad876d133fd179f4b6a5b8b74c610e5e5",
+    "620c85f52c8b4fa5597611a5adb739cba0d7a977ea8b6cb86841fba850fc65f9",
+    "7b64e2b6b67b571fc3b6bc78fc95784dc1684a0219d5de6c2a1087ca5dbf578c",
+    "e09971390e09de722971aeb6bf69b1e0581cd1275a72b1ff637da39d4e1051ef",
+    "978421ca815a086b72b4f0bb38e25d9f5af0f6758883a6d58920d43a29eaf3c9",
+)
+
+
+@pytest.mark.parametrize("d", range(21))
+def test_plan_cube_file_pinned(d):
+    # Every dimension's plan, move for move: a change to the fragment
+    # templates, their order or the flat array's entry type shows here.
+    text = _pinned_plan(d).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == PLAN_FILE_DIGESTS[d]
+
+
 def test_plan_cube_memory_per_move():
-    # The plan is one flat array of 8-byte ints, 16 bytes per move; the
-    # peak while building it, from cold caches, stays under 24 per move,
+    # The plan is one flat array of 4-byte ints, 8 bytes per move; the
+    # peak while building it, from cold caches, stays under 12 per move,
     # so fragments go straight into the array, not through a buffer.
     for obj in vars(cube).values():
         if callable(getattr(obj, "cache_clear", None)):
@@ -466,4 +506,4 @@ def test_plan_cube_memory_per_move():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * len(result.plan.moves)
+    assert peak < 12 * len(result.plan.moves)

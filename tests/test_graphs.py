@@ -406,13 +406,47 @@ def test_verify_rejects_repeated_endpoint():
 
 
 def test_verify_rejects_out_of_range_vertex():
+    # Each of the three count stores: the list of an all-ones start (a
+    # plan with at least n entries), the dict of a shorter one, and the
+    # list of an explicit start.  A bad source or destination, negative
+    # or past n, is rejected at its own step.
     g = path_graph(3)
-    for bad in ([1, 0, 3, 0], [1, 0, -1, 0], [1, 0, 0, 3]):
-        res = verify_plan(g, Plan(3, 0, bad))
-        assert not res and res.step == 1 and "out of range" in res.reason
+    ones = Configuration((1, 1, 1))
+    for bad in (3, 5, -1, -2 ** 31, 2 ** 31 - 1):
+        for moves, step in (([1, 0, bad, 0], 1), ([1, 0, 0, bad], 1),
+                            ([bad, 0], 0), ([0, bad], 0)):
+            for initial in (None, ones):
+                res = verify_plan(g, Plan(3, 0, moves), initial)
+                assert res == (False, step, f"move {step}: vertex out of range")
     for target in (3, -1):
         res = verify_plan(g, Plan(3, target, [1, 2, 2, 0]))
         assert not res and res.step is None and "target" in res.reason
+
+
+def test_verify_leaves_plan_array_resizable():
+    # The replay reads the flat array through a buffer view; once it
+    # returns or raises, the array can grow again.
+    class Faulty:
+        n = 3
+
+        def dist(self, u, v):
+            raise IndexError("board fault")
+
+    for moves, ok in (([1, 0, 2, 0], False), ([1, 2, 2, 0], True),
+                      ([1, 0, 5, 0], False)):
+        plan = Plan(3, 0, moves)
+        assert verify_plan(path_graph(3), plan).ok is ok
+        plan.flat.append(0)
+    plan = Plan(3, 0, [1, 2, 2, 0])
+    with pytest.raises(IndexError, match="board fault") as fault:
+        verify_plan(Faulty(), plan)     # not taken for a vertex out of range
+    plan.flat.append(0)                 # while the traceback is still held
+    assert len(plan.flat) == 5 and fault.traceback
+    # The board is asked for a distance only when both ends hold a cup.
+    start = Configuration((1, 0, 1))
+    for moves, reason in (([1, 2], "move 0: source 1 empty"),
+                          ([2, 1], "move 0: destination 1 empty")):
+        assert verify_plan(Faulty(), Plan(3, 0, moves), start) == (False, 0, reason)
 
 
 def test_verify_rejects_unconcentrated_final_state():
@@ -463,6 +497,17 @@ def test_plan_from_json_rejects_non_integers():
     for bad in ([1.5, 0], ["2", "0"], [True, 0], [1, 0, 2], 7, [2**70, 0]):
         with pytest.raises(ValueError, match="move 1"):
             Plan.from_json_dict({**good, "moves": [[1, 0], bad]})
+
+
+def test_plan_from_json_refuses_vertices_past_32_bits():
+    # Moves are stored as 32-bit ints; no vertex from 2^31 up (or below
+    # -2^31) could be in a plan that is accepted.
+    good = {"n": 3, "target": 0, "moves": [[1, 0], [2, 0]]}
+    for bad in ([2 ** 31, 0], [0, 2 ** 31], [-2 ** 31 - 1, 0], [2 ** 63, 0]):
+        with pytest.raises(ValueError, match="move 1: vertex out of range"):
+            Plan.from_json_dict({**good, "moves": [[1, 0], bad]})
+    edge = Plan.from_json_dict({**good, "moves": [[1, 0], [2 ** 31 - 1, -2 ** 31]]})
+    assert list(edge.flat) == [1, 0, 2 ** 31 - 1, -2 ** 31]
 
 
 # -------------------------------------------------------- partition verifier
