@@ -233,15 +233,6 @@ def _cmd_oracle(args) -> int:
     return _exit_code(res.decision)
 
 
-def _cmd_ge(args) -> int:
-    g = _load_graph(args.graph)
-    from . import matching
-    part = matching.gallai_edmonds(matching.BareGraph(g.n, g.edges()))
-    _emit({"I": [list(c) for c in part.I_components],
-           "A": list(part.A), "Z": list(part.Z)}, args.pretty)
-    return EXIT_YES
-
-
 def _mask_to_sorted(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
@@ -344,9 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="comma-separated initial cup counts")
     p.add_argument("--plan", action="store_true", help="include the moves")
 
-    p = sub.add_parser("ge", help="Gallai-Edmonds partition")
-    common(p)
-
     p = sub.add_parser("scd", help="symmetric chain decomposition dump")
     p.add_argument("-n", type=int, required=True)
     common(p, graph=False)
@@ -367,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {
     "gen": _cmd_gen, "decide": _cmd_decide, "plan": _cmd_plan,
-    "verify": _cmd_verify, "oracle": _cmd_oracle, "ge": _cmd_ge,
+    "verify": _cmd_verify, "oracle": _cmd_oracle,
     "scd": _cmd_scd, "gray": _cmd_gray, "cube": _cmd_cube,
 }
 

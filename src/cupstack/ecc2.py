@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .graphs import Graph, Plan, shells
-from .matching import BareGraph, Matching, augment, blossom_search
+from .matching import Matching, augment, blossom_search
 
 
 class Ecc2Witness(NamedTuple):
@@ -38,7 +38,8 @@ def _shell2(g: Graph, r: int) -> list[int]:
 def ecc2_decide(g: Graph, r: int) -> Ecc2Witness:
     n2 = _shell2(g, r)
     # G - r on the original labels: r stays as an isolated vertex.
-    adj = BareGraph(g.n, [e for e in g.edges() if r not in e]).adj
+    adj = [() if v == r else tuple(u for u in row if u != r)
+           for v, row in enumerate(g.adj)]
     spare = set(range(g.n)).difference(n2)
     match = [-1] * g.n
     for s in n2:
@@ -84,10 +85,3 @@ def ecc2_plan(g: Graph, r: int) -> Optional[Plan]:
     if not w.decision:
         return None
     return plan_from_matching(g, r, w.matching)
-
-
-def diam2_decide(g: Graph) -> dict[int, Ecc2Witness]:
-    from .graphs import diameter
-    if diameter(g) != 2:
-        raise ValueError("graph does not have diameter 2")
-    return {r: ecc2_decide(g, r) for r in range(g.n)}

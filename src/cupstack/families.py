@@ -154,13 +154,6 @@ def _stack_path_onto(seq: Sequence[int], j: int) -> list[int]:
     return moves
 
 
-def plan_path_endpoint(n: int) -> Plan:
-    """Stack the path 0..n-1 onto vertex 0 in exactly n-1 moves."""
-    if n < 1:
-        raise FamilyError("path needs n >= 1")
-    return Plan(n, 0, _endpoint_moves(list(range(n))))
-
-
 def plan_path(n: int, r: int) -> Plan:
     if not 0 <= r < n:
         raise FamilyError("target out of range")

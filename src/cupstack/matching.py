@@ -1,64 +1,15 @@
-"""Maximum matching and Gallai-Edmonds structure, both built on one
-blossom search.
+"""Edmonds' blossom search and augmentation: the matching step of the
+eccentricity-2 decision.
 
-Unlike the game board, matching hosts may be disconnected (the structure
-theory is applied to a graph with a vertex removed), so this module works
-on a bare adjacency view rather than the connected Graph type.
+The search works on a bare adjacency view (sorted neighbour tuples per
+vertex) rather than the connected Graph type, because its host, G - r,
+has r as an isolated vertex.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Container, Iterable, NamedTuple, Sequence
-
-
-class BareGraph:
-    """Simple undirected graph, connectivity not required."""
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"bad edge ({u},{v})")
-            adj[u].add(v)
-            adj[v].add(u)
-        self.n = n
-        self.adj = tuple(tuple(sorted(s)) for s in adj)
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
-
-    def without(self, removed: set[int]) -> tuple["BareGraph", dict[int, int]]:
-        keep = [v for v in range(self.n) if v not in removed]
-        remap = {v: i for i, v in enumerate(keep)}
-        edges = [(remap[u], remap[v]) for u, v in self.edges()
-                 if u in remap and v in remap]
-        return BareGraph(len(keep), edges), remap
-
-    def components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            seen[s] = True
-            comp = [s]
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for v in self.adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        comp.append(v)
-                        queue.append(v)
-            out.append(sorted(comp))
-        return out
-
-
-def _bare(g) -> BareGraph:
-    if isinstance(g, BareGraph):
-        return g
-    return BareGraph(g.n, g.edges())
 
 
 class Matching(NamedTuple):
@@ -166,70 +117,3 @@ def augment(match: list[int], parent: list[int], end: int) -> None:
         match[end] = pv
         match[pv] = end
         end = nxt
-
-
-def max_matching(g) -> Matching:
-    """Maximum-cardinality matching: one blossom search from each vertex
-    still exposed, in ascending order."""
-    g = _bare(g)
-    match = [-1] * g.n
-    for root in range(g.n):
-        if match[root] == -1:
-            end, parent, _ = blossom_search(g.adj, match, root)
-            if end != -1:
-                augment(match, parent, end)
-    return Matching.of((v, match[v]) for v in range(g.n) if match[v] > v)
-
-
-def matching_number(g) -> int:
-    return max_matching(g).size
-
-
-def has_perfect_matching(g) -> bool:
-    g = _bare(g)
-    return g.n % 2 == 0 and matching_number(g) * 2 == g.n
-
-
-def is_factor_critical(g) -> bool:
-    """True iff removing any single vertex leaves a perfectly matchable graph."""
-    g = _bare(g)
-    if g.n % 2 == 0:
-        return False
-    for v in range(g.n):
-        sub, _ = g.without({v})
-        if not has_perfect_matching(sub):
-            return False
-    return True
-
-
-class GallaiEdmondsPartition(NamedTuple):
-    I_components: tuple[tuple[int, ...], ...]
-    A: tuple[int, ...]
-    Z: tuple[int, ...]
-
-    @property
-    def I(self) -> tuple[int, ...]:
-        return tuple(sorted(v for comp in self.I_components for v in comp))
-
-
-def gallai_edmonds(g) -> GallaiEdmondsPartition:
-    """Structure partition (I, A, Z): I holds the vertices missed by some
-    maximum matching, which are the outer vertices of the stuck blossom
-    search from each vertex that one maximum matching leaves exposed; A
-    is the outside neighborhood of I; Z the rest."""
-    g = _bare(g)
-    match = [-1] * g.n
-    for u, v in max_matching(g).edges:
-        match[u], match[v] = v, u
-    inessential = set()
-    for root in range(g.n):
-        if match[root] == -1:
-            _, _, outer = blossom_search(g.adj, match, root)
-            inessential.update(v for v in range(g.n) if outer[v])
-    A = sorted({u for v in inessential for u in g.adj[v]} - inessential)
-    Z = sorted(set(range(g.n)) - inessential - set(A))
-    sub, remap = g.without(set(range(g.n)) - inessential)
-    inverse = {i: v for v, i in remap.items()}
-    comps = tuple(tuple(sorted(inverse[i] for i in comp))
-                  for comp in sub.components())
-    return GallaiEdmondsPartition(tuple(sorted(comps)), tuple(A), tuple(Z))

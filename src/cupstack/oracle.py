@@ -122,10 +122,3 @@ def oracle_search(g: Graph, c: Configuration, r: int,
     if budget < 1:
         raise ValueError("budget must be a positive number of states")
     return _search(g, c, r, budget)
-
-
-def oracle_stackable(g: Graph, budget: int = DEFAULT_BUDGET) -> dict[int, Optional[bool]]:
-    """Per-target decision from the all-ones configuration."""
-    ones = Configuration.all_ones(g.n)
-    return {r: oracle_search(g, ones, r, budget).decision
-            for r in range(g.n)}

@@ -8,8 +8,9 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from cupstack.graphs import Graph
-from cupstack.matching import BareGraph
+from cupstack.graphs import Configuration, Graph
+from cupstack.matching import augment, blossom_search
+from cupstack.oracle import oracle_search
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:
@@ -26,9 +27,15 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
     return Graph(n, sorted(edges))
 
 
-def random_bare_graph(rng: random.Random, n: int, p: float = 0.4) -> BareGraph:
-    edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return BareGraph(n, edges)
+def random_bare_graph(rng: random.Random, n: int,
+                      p: float = 0.4) -> tuple[tuple[int, ...], ...]:
+    """Sorted adjacency tuples of a random graph, connectivity not required."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in combinations(range(n), 2):   # lexicographic: rows stay sorted
+        if rng.random() < p:
+            adj[u].append(v)
+            adj[v].append(u)
+    return tuple(map(tuple, adj))
 
 
 def atlas_connected_graphs(max_n: int = 7):
@@ -45,10 +52,9 @@ def atlas_connected_graphs(max_n: int = 7):
     return out
 
 
-def brute_force_matching_number(g) -> int:
+def brute_force_matching_number(adj) -> int:
     """Maximum matching size by branching on the first available vertex,
     memoized over the remaining vertex set."""
-    adj = g.adj
     memo: dict[frozenset, int] = {}
 
     def best(avail: frozenset) -> int:
@@ -65,7 +71,29 @@ def brute_force_matching_number(g) -> int:
         memo[avail] = score
         return score
 
-    return best(frozenset(range(g.n)))
+    return best(frozenset(range(len(adj))))
+
+
+def max_matching_size(adj) -> int:
+    """Maximum matching size by the blossom search: one search from each
+    vertex still exposed, in ascending order, augmenting where it ends.
+    Asserts that the mates it leaves form a matching of the graph."""
+    match = [-1] * len(adj)
+    for root in range(len(adj)):
+        if match[root] == -1:
+            end, parent, _ = blossom_search(adj, match, root)
+            if end != -1:
+                augment(match, parent, end)
+    pairs = [(v, m) for v, m in enumerate(match) if m != -1]
+    assert all(match[m] == v and m in adj[v] for v, m in pairs)
+    return len(pairs) // 2
+
+
+def oracle_stackable(g: Graph) -> dict:
+    """Per-target oracle decision from the all-ones configuration."""
+    ones = Configuration.all_ones(g.n)
+    return {r: oracle_search(g, ones, r).decision
+            for r in range(g.n)}
 
 
 def floyd_warshall(g: Graph):

@@ -193,13 +193,6 @@ def test_oracle_config_accepts_only_ascii_counts(capsys):
         assert code == 2 and data is None and f"--config field {field}" in err
 
 
-def test_ge_output(tmp_path, capsys):
-    graph = gen(tmp_path, capsys, "path", 3)
-    code, data, _ = run(capsys, "ge", "-g", graph)
-    assert code == 0
-    assert data == {"I": [[0], [2]], "A": [1], "Z": []}
-
-
 def test_scd_output(capsys):
     code, data, _ = run(capsys, "scd", "-n", "2")
     assert code == 0
@@ -402,6 +395,9 @@ def test_bad_arguments_are_usage_errors(capsys):
     assert main(["decide"]) == 2
     capsys.readouterr()
     assert main(["nonsense"]) == 2
+    capsys.readouterr()
+    # `ge` is no longer a command: the parser rejects it like any other.
+    assert main(["ge", "-g", str(FIXTURES / "p4.graph")]) == 2
     capsys.readouterr()
     # The route is chosen from the graph alone; there is no --method.
     assert main(["decide", "-g", str(FIXTURES / "k4.graph"), "-r", "0",

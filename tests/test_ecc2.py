@@ -1,5 +1,6 @@
 """Matching-based decision for eccentricity-2 targets."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,8 +8,7 @@ import pytest
 from conftest import random_connected_graph
 from cupstack.graphs import (Configuration, Graph, shells, verify_barrier,
                              verify_plan)
-from cupstack.ecc2 import (diam2_decide, ecc2_decide, ecc2_plan,
-                           plan_from_matching)
+from cupstack.ecc2 import ecc2_decide, ecc2_plan, plan_from_matching
 from cupstack.families import (complete_graph, cycle_graph, multipartite_graph,
                                petersen_graph, star_graph)
 from cupstack.matching import Matching
@@ -81,12 +81,10 @@ def test_petersen_plan_accepted():
 
 
 def test_diam2_verdicts():
-    assert all(w.decision for w in diam2_decide(petersen_graph()).values())
-    verdicts = diam2_decide(multipartite_graph([4, 2]))
-    assert [verdicts[r].decision for r in range(6)] == [
+    assert all(ecc2_decide(petersen_graph(), r).decision for r in range(10))
+    g = multipartite_graph([4, 2])
+    assert [ecc2_decide(g, r).decision for r in range(6)] == [
         False, False, False, False, True, True]
-    with pytest.raises(ValueError):
-        diam2_decide(cycle_graph(7))
 
 
 def test_witness_structure_is_consistent():
@@ -137,3 +135,23 @@ def test_agrees_with_oracle_random():
                 assert verify_plan(g, plan_from_matching(g, r, w.matching))
             checked += 1
     assert checked > 100
+
+
+def test_atlas_witnesses_and_plans_pinned(atlas7):
+    """Every verdict, matching, barrier and plan on the atlas targets of
+    eccentricity <= 2, pinned by one SHA-256."""
+    h = hashlib.sha256()
+    targets = 0
+    for g in atlas7:
+        for r in range(g.n):
+            if max(g.bfs_from(r)) > 2:
+                continue
+            targets += 1
+            w = ecc2_decide(g, r)
+            h.update(repr((w.decision, w.matching and w.matching.sorted_edges(),
+                           w.barrier)).encode())
+            if w.decision:
+                h.update(plan_from_matching(g, r, w.matching).flat.tobytes())
+    assert targets == 4835
+    assert h.hexdigest() == ("dddd383368cce526da5531c61c65910c"
+                             "91f7a2366ca80945a5476a2a586be2ef")

@@ -12,7 +12,7 @@ from cupstack.families import (FamilyError, _endpoint_moves, complete_graph,
                                multipartite_decide, multipartite_graph,
                                path_graph, petersen_graph, plan_cycle,
                                plan_grid, plan_ham_ecc2,
-                               plan_path, plan_path_endpoint, plan_spider,
+                               plan_path, plan_spider,
                                spider_graph, star_graph)
 from cupstack.oracle import oracle_search
 
@@ -90,16 +90,16 @@ def test_long_path_plans_need_no_recursion():
 
 
 def test_path_endpoint_examples():
-    assert plan_path_endpoint(1).moves == ()
-    assert [(m.src, m.dst) for m in plan_path_endpoint(3).moves] == [
+    assert plan_path(1, 0).moves == ()
+    assert [(m.src, m.dst) for m in plan_path(3, 0).moves] == [
         (1, 2), (2, 0)]
-    assert [(m.src, m.dst) for m in plan_path_endpoint(4).moves] == [
+    assert [(m.src, m.dst) for m in plan_path(4, 0).moves] == [
         (2, 1), (1, 3), (3, 0)]
 
 
 def test_path_endpoint_uses_minimum_moves():
     for n in range(1, 30):
-        plan = plan_path_endpoint(n)
+        plan = plan_path(n, 0)
         assert len(plan.moves) == max(n - 1, 0)
         assert verify_plan(path_graph(n), plan)
 

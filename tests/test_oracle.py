@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from conftest import random_connected_graph
+from conftest import oracle_stackable, random_connected_graph
 from cupstack.graphs import Configuration, CubeBoard, verify_plan
 from cupstack.families import (complete_graph, cycle_graph, grid_graph,
                                multipartite_graph, path_graph, star_graph)
-from cupstack.oracle import oracle_search, oracle_stackable
+from cupstack.oracle import oracle_search
 
 
 def test_star_center_true_leaf_false():
