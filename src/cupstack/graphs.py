@@ -17,7 +17,12 @@ from typing import Iterable, NamedTuple, Optional
 
 
 class GraphError(ValueError):
-    """Raised for malformed or out-of-contract graph input."""
+    """Raised for malformed or out-of-contract graph input; `edge` is the
+    index of the edge at fault in the list given to `Graph`, or None."""
+
+    def __init__(self, message: str, edge: Optional[int] = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 class Graph:
@@ -28,13 +33,13 @@ class Graph:
         if n < 1:
             raise GraphError("graph needs at least one vertex")
         adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
+        for i, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+                raise GraphError(f"edge ({u},{v}) out of range for n={n}", i)
             if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
+                raise GraphError(f"self-loop at vertex {u}", i)
             if v in adj[u]:
-                raise GraphError(f"duplicate edge ({u},{v})")
+                raise GraphError(f"duplicate edge ({u},{v})", i)
             adj[u].add(v)
             adj[v].add(u)
         self.n = n
@@ -211,49 +216,46 @@ class CubeBoard:
 
 
 def parse_graph(text: str) -> Graph:
-    """Parse the edge-list graph format: '# comment', 'n <count>', 'e <u> <v>'."""
+    """Parse the edge-list graph format: '# comment', 'n <count>', 'e <u> <v>'.
+    Only the lines are read here; `Graph` checks the edges, and a fault
+    it finds is reported at the line of the edge at fault, or at the n
+    line when it is not about one edge."""
     n = None
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    edge_lines: list[int] = []
+    lineno = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
-        if parts[0] == "n":
-            if n is not None:
-                raise GraphError(f"line {lineno}: duplicate n line")
-            if len(parts) != 2 or not _is_ascii_int(parts[1]):
-                raise GraphError(f"line {lineno}: malformed n line")
-            n, n_line = int(parts[1]), lineno
-            if n < 1:
-                raise GraphError(f"line {lineno}: graph needs at least one vertex")
-        elif parts[0] == "e":
+        if not parts or parts[0].startswith("#"):
+            continue
+        if parts[0] == "e":
             if n is None:
                 raise GraphError(f"line {lineno}: edge before n line")
             if len(parts) != 3 or not (_is_ascii_int(parts[1])
                                        and _is_ascii_int(parts[2])):
                 raise GraphError(f"line {lineno}: malformed edge line")
-            u, v = int(parts[1]), int(parts[2])
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"line {lineno}: vertex out of range")
-            if u == v:
-                raise GraphError(f"line {lineno}: self-loop")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise GraphError(f"line {lineno}: duplicate edge")
-            seen.add(key)
-            edges.append((u, v))
+            edges.append((int(parts[1]), int(parts[2])))
+            edge_lines.append(lineno)
+        elif parts[0] == "n":
+            if n is not None:
+                raise GraphError(f"line {lineno}: duplicate n line")
+            if len(parts) != 2 or not _is_ascii_int(parts[1]):
+                raise GraphError(f"line {lineno}: malformed n line")
+            n, n_line = int(parts[1]), lineno
         else:
-            raise GraphError(f"line {lineno}: unrecognized line {line!r}")
+            raise GraphError(f"line {lineno}: unrecognized line {line.strip()!r}")
     if n is None:
-        raise GraphError("missing n line")
+        raise GraphError(f"line {lineno + 1}: missing n line")
     # Refused before Graph builds n adjacency sets, which a short file
     # claiming a huge n would otherwise pay for.
     if len(edges) < n - 1:
         raise GraphError(f"line {n_line}: graph is disconnected: "
                          f"{len(edges)} edges cannot connect {n} vertices")
-    return Graph(n, edges)
+    try:
+        return Graph(n, edges)
+    except GraphError as exc:
+        at = n_line if exc.edge is None else edge_lines[exc.edge]
+        raise GraphError(f"line {at}: {exc}") from None
 
 
 def _is_ascii_int(word: str) -> bool:
@@ -474,22 +476,6 @@ class VerifyResult(NamedTuple):
         return self.ok
 
 
-class _OnesStart(dict):
-    """Cup counts of an all-ones start on vertices 0..n-1, stored only
-    where they changed; a vertex past n raises IndexError, as a list
-    start's would."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __missing__(self, v: int) -> int:
-        if v >= self.n:
-            raise IndexError(v)
-        return 1
-
-
 def verify_plan(board, plan: Plan, initial: Optional[Configuration] = None) -> VerifyResult:
     """Replay a plan move by move; accept iff every move is legal and the
     final configuration has every cup on the target.  One loop serves
@@ -505,11 +491,13 @@ def verify_plan(board, plan: Plan, initial: Optional[Configuration] = None) -> V
         return VerifyResult(False, None, f"target {plan.target} out of range")
     if config is None:
         # A list, unless the plan has fewer entries than n: then a dict of
-        # the vertices it touches, so a short plan claiming a huge n costs
-        # only its own length.  Each move empties one vertex for good (a
-        # destination must hold a cup), so n cups take n - 1 moves, 2n - 2
-        # entries: such a plan fails unless n = 1.
-        counts = [1] * n if n <= len(plan.flat) else _OnesStart(n)
+        # the vertices in range that it names, and the target, so a short
+        # plan claiming a huge n costs only its own length.  Each move
+        # empties one vertex for good (a destination must hold a cup), so
+        # n cups take n - 1 moves, 2n - 2 entries: such a plan fails
+        # unless n = 1.
+        counts = [1] * n if n <= len(plan.flat) else dict.fromkeys(
+            [v for v in plan.flat if 0 <= v < n] + [plan.target], 1)
         total = n
     else:
         counts = list(config.counts)
@@ -517,10 +505,11 @@ def verify_plan(board, plan: Plan, initial: Optional[Configuration] = None) -> V
     dist = board.dist
     # The moves are read as unsigned 32-bit ints, so a negative vertex
     # reads as 2^31 or more and every vertex outside 0..n-1 raises
-    # IndexError when `counts` is indexed: no move pays a range test of
-    # its own.  Counts are never negative, so `pile and top` tests that
-    # both ends hold a cup, and dist is only asked about such moves.  A
-    # rejection's reason is built after the loop, from the failing move.
+    # IndexError (KeyError from a dict) when `counts` is indexed: no move
+    # pays a range test of its own.  Counts are never negative, so
+    # `pile and top` tests that both ends hold a cup, and dist is only
+    # asked about such moves.  A rejection's reason is built after the
+    # loop, from the failing move.
     with memoryview(plan.flat).cast("B").cast("I") as view:
         it = iter(view)
         try:
@@ -533,7 +522,7 @@ def verify_plan(board, plan: Plan, initial: Optional[Configuration] = None) -> V
                 counts[src] = 0
             else:
                 i = None
-        except IndexError:
+        except (IndexError, KeyError):
             if src < n and dst < n:     # raised by the board, not counts
                 raise
             return VerifyResult(False, i, f"move {i}: vertex out of range")

@@ -193,6 +193,24 @@ def test_oracle_config_accepts_only_ascii_counts(capsys):
         assert code == 2 and data is None and f"--config field {field}" in err
 
 
+def test_oracle_target_and_config_checked_once(capsys):
+    # oracle_search's own checks give the usage errors.
+    graph = str(FIXTURES / "p4.graph")
+    for extra, message in ((["-r", "4"], "target out of range"),
+                           (["-r", "0", "--config", "1,1,1"],
+                            "configuration size mismatch")):
+        code, data, err = run(capsys, "oracle", "-g", graph, *extra)
+        assert code == 2 and data is None and message in err
+
+
+def test_disconnected_file_names_its_n_line(tmp_path, capsys):
+    path = tmp_path / "triangle_and_point.graph"
+    path.write_text("n 4\ne 0 1\ne 1 2\ne 0 2\n", encoding="utf-8")
+    code, data, err = run(capsys, "decide", "-g", str(path), "-r", "0")
+    assert (code, data, err) == (2, None,
+                                 "error: line 1: graph is disconnected\n")
+
+
 def test_scd_output(capsys):
     code, data, _ = run(capsys, "scd", "-n", "2")
     assert code == 0

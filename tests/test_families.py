@@ -1,6 +1,7 @@
 """Family generators and their constructive planners."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -29,6 +30,16 @@ def test_kneser_5_2_is_petersen():
     assert g.n == 10 and len(g.edges()) == 15
     assert all(len(g.adj[v]) == 3 for v in range(10))
     assert g.edges() == petersen_graph().edges()
+
+
+@pytest.mark.parametrize("m, k", [(3, 1), (5, 2), (7, 2), (7, 3), (8, 3),
+                                  (9, 4), (10, 3), (11, 4)])
+def test_kneser_adjacency_is_disjointness(m, k):
+    g = kneser_graph(m, k)
+    assert g.labels == tuple(combinations(range(1, m + 1), k))
+    sets = [set(a) for a in g.labels]
+    assert g.adj == tuple(tuple(j for j, b in enumerate(sets) if not a & b)
+                          for a in sets)
 
 
 def test_johnson_5_4_3():

@@ -1,7 +1,9 @@
 """Graph parsing, distances, move semantics, and the two verifiers."""
 
+import hashlib
 import json
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -91,6 +93,87 @@ def test_graph_rejects_self_loop_and_duplicate():
         Graph(2, [(0, 0), (0, 1)])
     with pytest.raises(GraphError, match="duplicate"):
         Graph(2, [(0, 1), (1, 0)])
+
+
+def parse_corpus(graphs) -> list[str]:
+    """Texts for the parse digest: each graph as `format_graph` writes it,
+    then the same text with every edge reversed and with indented lines,
+    comments and blank lines mixed in, then every fixture graph file."""
+    texts = []
+    for g in graphs:
+        text = format_graph(g)
+        mixed = ["# " + text.split("\n", 1)[0]]
+        for i, line in enumerate(text.splitlines()):
+            tag, *ends = line.split()
+            mixed.append(" " * (i % 3) + " ".join([tag, *reversed(ends)]))
+            if i % 4 == 1:
+                mixed.append("  # after line %d" % i)
+            if i % 5 == 2:
+                mixed.append("" if i % 2 else "\t")
+        texts += [text, "\n".join(mixed)]
+    texts += [p.read_text(encoding="utf-8")
+              for p in sorted(FIXTURES.glob("*.graph"))]
+    return texts
+
+
+def test_parse_digest(atlas7):
+    # The adjacency each text of the corpus parses to: a change in how
+    # lines are read or edges checked that alters any graph shows here.
+    h = hashlib.sha256()
+    texts = parse_corpus(atlas7)
+    for text in texts:
+        g = parse_graph(text)
+        h.update(repr((g.n, g.adj)).encode())
+    assert len(texts) == 2 * len(atlas7) + 6
+    assert h.hexdigest() == ("5e779d561c01908f8508844b7c3ac681"
+                            "9927182afeebb4e9314f92698e917913")
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("n 3\ne 0 1\ne 1 3\ne 1 2",
+                 "line 3: edge (1,3) out of range for n=3", id="range"),
+    pytest.param("n 3\ne 0 1\ne 2 2\ne 1 2",
+                 "line 3: self-loop at vertex 2", id="self-loop"),
+    pytest.param("n 3\ne 0 1\n# again\ne 1 0\ne 1 2",
+                 "line 4: duplicate edge (1,0)", id="duplicate"),
+    # Not about one edge: reported at the n line.
+    pytest.param("n 4\ne 0 1\ne 1 2\ne 0 2",
+                 "line 1: graph is disconnected", id="disconnected"),
+    pytest.param("# four\n\nn 4\ne 0 1\ne 1 2\ne 2 0",
+                 "line 3: graph is disconnected", id="disconnected-late-n"),
+    pytest.param("n 0", "line 1: graph needs at least one vertex", id="n0"),
+    # No n line: reported just past the last line.
+    pytest.param("", "line 1: missing n line", id="empty"),
+    pytest.param("# only\n# comments", "line 3: missing n line", id="no-n"),
+    # Several faults in one file: syntax first, wherever it is ...
+    pytest.param("n 3\ne 0 0\ne 0 5\nx", "line 4: unrecognized line 'x'",
+                 id="unrecognized"),
+    pytest.param("n 3\ne 1 0\ne 0 1\ne 0 1 2", "line 4: malformed edge line",
+                 id="malformed"),
+    # ... then too few edges, before any edge is refused ...
+    pytest.param("n 4\ne 0 0\ne 0 1", "line 1: graph is disconnected: "
+                 "2 edges cannot connect 4 vertices", id="too-few"),
+    # ... then the first edge that Graph refuses.
+    pytest.param("n 4\ne 0 1\ne 1 1\ne 0 9\ne 2 3",
+                 "line 3: self-loop at vertex 1", id="first-edge"),
+    pytest.param("n 4\ne 0 1\ne 1 0\ne 2 3",
+                 "line 3: duplicate edge (1,0)", id="edge-before-connectivity"),
+])
+def test_parse_error_names_its_line(text, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        parse_graph(text)
+
+
+def test_graph_error_names_the_edge():
+    for edges, index in (([(0, 1), (1, 3)], 1), ([(1, 1), (0, 1)], 0),
+                         ([(0, 1), (1, 2), (2, 1)], 2)):
+        with pytest.raises(GraphError) as fault:
+            Graph(3, edges)
+        assert fault.value.edge == index
+    for n, edges in ((0, []), (3, [(0, 1)])):
+        with pytest.raises(GraphError) as fault:
+            Graph(n, edges)
+        assert fault.value.edge is None
 
 
 # ----------------------------------------------------------------- distances
