@@ -11,14 +11,17 @@ Two rules cut the search without changing any verdict:
 (a) The target's pile never moves.  A move needs a cup at its
     destination, so a vertex once emptied never holds a cup again; a start
     with no cup on the target is a NO.
-(b) A non-target pile larger than its vertex's eccentricity is dead.  No
-    vertex lies at that distance, so the pile can never leave and only
-    grows; such children are never pushed, and a start holding one is a NO.
+(b) A non-target pile above its vertex's cap is dead.  A pile grows until
+    it moves whole: onto r at size d(v, r), or onto a non-target w at a
+    distance p where w's pile then exceeds p and must still leave.  So
+    cap(v) <= ecc(v) is the largest of d(v, r) and each such p with
+    cap(w) > p.  Such children are never pushed, a start holding one is a
+    NO, and the first plan found is the one the plain search finds.
 
-The budget counts visited states.  Each is a tuple of n ints in a set:
-tracemalloc measures about 70 + 8n bytes per state on 64-bit CPython 3.11
-(196 at n = 16, 645 at n = 72), so the default of 10**7 states can take
-about 2 GB at n = 16 and 6.5 GB at n = 72.
+The budget counts visited states, each an int of total.bit_length() bits
+per vertex in a set: tracemalloc measures 80-94 bytes per state at n = 16
+and 129-140 at n = 72 (grids 4x4 and 9x8, 10**5 to 10**6 states), so the
+default of 10**7 states takes about 1 GB at n = 16 and 1.4 GB at n = 72.
 """
 
 from __future__ import annotations
@@ -45,53 +48,73 @@ class OracleResult(NamedTuple):
 def _search(g: Graph, c: Configuration, r: int, budget: int) -> OracleResult:
     n = g.n
     total = c.size
-    goal = tuple(total if v == r else 0 for v in range(n))
     start = tuple(c.counts)
     initial = None if start == (1,) * n else Configuration(start)
-    if start == goal:
+    if start[r] == total:
         return OracleResult(True, Plan(n, r, (), initial), 1)
     if start[r] == 0:
         return OracleResult(False, None, 1, rejected_by="a")
-    # at[v][k]: the vertices at distance exactly k from v, ascending; a
-    # connected graph has a vertex at every distance up to ecc(v).
-    at: list[list[list[int]]] = []
-    for row in g.distances():
-        shells: list[list[int]] = [[] for _ in range(max(row) + 1)]
-        for v, d in enumerate(row):
-            shells[d].append(v)
-        at.append(shells)
-    ecc = [len(shells) - 1 for shells in at]
-    if any(start[v] > ecc[v] for v in range(n) if v != r):
-        return OracleResult(False, None, 1, rejected_by="b")
+    dist = g.distances()
+    # cap[v], rule (b): the largest caps settle first, offering every v
+    # nearer than them its distance; offers below 2 change nothing.
+    cap = list(dist[r])
     sources = [v for v in range(n) if v != r]     # rule (a)
-    visited = {start}
+    todo = sources.copy()
+    while todo:
+        todo.sort(key=cap.__getitem__)
+        w = todo.pop()
+        top = cap[w]
+        if top <= 2:
+            break
+        for v, d in enumerate(dist[w]):
+            if cap[v] < d < top:
+                cap[v] = d
+    cap[r] = total
+    if any(start[v] > cap[v] for v in sources):
+        return OracleResult(False, None, 1, rejected_by="b")
+    # at[v][k]: the vertices at distance exactly k from v, ascending,
+    # built when v first moves.
+    at: list[Optional[list[list[int]]]] = [None] * n
+
+    def shells(v: int) -> list[list[int]]:
+        at[v] = out = [[] for _ in range(max(dist[v]) + 1)]
+        for u, d in enumerate(dist[v]):
+            out[d].append(u)
+        return out
+
+    # A state is sum(count * unit[v]); each field holds any pile.
+    unit = [1 << total.bit_length() * v for v in range(n)]
+    goal = total * unit[r]
+    key = sum(k * u for k, u in zip(start, unit))
+    visited = {key}
     pruned = 0
 
-    def children(state: tuple[int, ...]):
+    def children(counts: list[int], key: int):
         """Unvisited successors in ascending (source, destination) order,
         computed lazily so the visited test sees the set as it is now."""
         nonlocal pruned
         for src in sources:
-            pile = state[src]
+            pile = counts[src]
             if pile == 0:
                 continue
-            for dst in at[src][pile]:
-                have = state[dst]
+            rest = key - pile * unit[src]
+            for dst in (at[src] or shells(src))[pile]:
+                have = counts[dst]
                 if have == 0:
                     continue
-                if have + pile > ecc[dst] and dst != r:   # rule (b)
+                if have + pile > cap[dst]:                # rule (b)
                     pruned += 1
                     continue
-                nxt = list(state)
-                nxt[dst] = have + pile
-                nxt[src] = 0
-                nxt_t = tuple(nxt)
-                if nxt_t not in visited:
-                    yield nxt_t, src, dst
+                nxt_key = rest + pile * unit[dst]
+                if nxt_key not in visited:
+                    nxt = counts.copy()
+                    nxt[dst] = have + pile
+                    nxt[src] = 0
+                    yield nxt, nxt_key, src, dst
 
     # Iterative DFS over a stack of lazy child iterators.
     path: list[tuple[int, int]] = []
-    stack = [children(start)]
+    stack = [children(list(start), key)]
     while stack:
         step = next(stack[-1], None)
         if step is None:
@@ -101,13 +124,13 @@ def _search(g: Graph, c: Configuration, r: int, budget: int) -> OracleResult:
             continue
         if len(visited) >= budget:
             return OracleResult(None, None, len(visited), pruned)
-        state, src, dst = step
-        visited.add(state)
+        counts, key, src, dst = step
+        visited.add(key)
         path.append((src, dst))
-        if state == goal:
+        if key == goal:
             plan = Plan(n, r, [v for move in path for v in move], initial)
             return OracleResult(True, plan, len(visited), pruned)
-        stack.append(children(state))
+        stack.append(children(counts, key))
     return OracleResult(False, None, len(visited), pruned)
 
 

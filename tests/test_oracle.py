@@ -1,6 +1,8 @@
 """Exhaustive search oracle: decisions, plans, and budget behavior."""
 
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -184,6 +186,62 @@ def test_start_rejections_are_reported():
 
 def test_search_sizes_stay_pruned():
     res = oracle_search(grid_graph(4, 3), Configuration.all_ones(12), 0)
-    assert res.decision is True and res.states <= 1_000 and res.pruned > 0
+    assert res.decision is True and res.states <= 400 and res.pruned > 0
     res = oracle_search(multipartite_graph([7, 3]), Configuration.all_ones(10), 0)
-    assert res.decision is False and res.states <= 2_000 and res.pruned > 0
+    assert res.decision is False and res.states <= 600 and res.pruned > 0
+    res = oracle_search(grid_graph(4, 4), Configuration.all_ones(16), 5)
+    assert res.decision is True and res.states <= 1_000
+    assert verify_plan(grid_graph(4, 4), res.plan)
+
+
+def test_piles_that_cannot_reach_the_target_are_rejected():
+    # Piles only merge, and every cup lands on r in a pile that jumps from
+    # a vertex s with pile = d(s, r) <= ecc(r).  So a pile of ecc(r) + 1
+    # is dead even at a vertex whose eccentricity would let it move.
+    res = oracle_search(path_graph(4), Configuration((1, 1, 1, 3)), 1)
+    assert (res.decision, res.rejected_by, res.states) == (False, "b", 1)
+    rng = random.Random(20)
+    seeded = 0
+    while seeded < 150:
+        g = random_connected_graph(rng, rng.randint(3, 7))
+        ecc = [max(row) for row in g.distances()]
+        r = rng.randrange(g.n)
+        far = [v for v in range(g.n) if ecc[v] > ecc[r]]
+        if not far:
+            continue
+        counts = [rng.choice((0, 1, 1, 1, 2)) for _ in range(g.n)]
+        counts[r] = max(counts[r], 1)
+        counts[rng.choice(far)] = ecc[r] + 1
+        res = _check_against_reference(g, counts, r)
+        assert (res.decision, res.rejected_by) == (False, "b")
+        seeded += 1
+
+
+def test_plans_pinned(atlas7):
+    """Every decision and plan from the all-ones start on every atlas
+    target, and on grid 4x3, C11 and K(7,3) at r = 0, by one SHA-256."""
+    h = hashlib.sha256()
+    cases = [(g, r) for g in atlas7 for r in range(g.n)]
+    cases += [(g, 0) for g in (grid_graph(4, 3), cycle_graph(11),
+                               multipartite_graph([7, 3]))]
+    for g, r in cases:
+        res = oracle_search(g, Configuration.all_ones(g.n), r)
+        h.update(repr((r, res.decision)).encode())
+        if res.decision:
+            h.update(res.plan.flat.tobytes())
+    assert len(cases) == 6_784
+    assert h.hexdigest() == ("04830ec37e03cb0f9ceb55e804e0f004"
+                             "1b3179a70a32188f6c9047c4c8cd9719")
+
+
+def test_visited_states_stay_compact():
+    g = grid_graph(4, 4)
+    g.distances()
+    tracemalloc.start()
+    try:
+        res = oracle_search(g, Configuration.all_ones(16), 7, budget=50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.inconclusive and res.states == 50_000
+    assert peak / res.states <= 120
