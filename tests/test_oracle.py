@@ -180,6 +180,10 @@ def test_start_rejections_are_reported():
     assert (res.decision, res.rejected_by, res.states) == (False, "a", 1)
     res = oracle_search(g, Configuration((1, 1, 3)), 0)
     assert (res.decision, res.rejected_by, res.states) == (False, "b", 1)
+    # ecc(3) = 3 lets the pile of 3 move, but only onto vertex 0, whose
+    # pile then exceeds d(0, 1) = 1 and can never leave
+    res = oracle_search(path_graph(4), Configuration((1, 1, 1, 3)), 1)
+    assert (res.decision, res.rejected_by, res.states) == (False, "b", 1)
     res = oracle_search(g, Configuration.all_ones(3), 0)
     assert res.decision is True and res.rejected_by is None
 
@@ -198,8 +202,6 @@ def test_piles_that_cannot_reach_the_target_are_rejected():
     # Piles only merge, and every cup lands on r in a pile that jumps from
     # a vertex s with pile = d(s, r) <= ecc(r).  So a pile of ecc(r) + 1
     # is dead even at a vertex whose eccentricity would let it move.
-    res = oracle_search(path_graph(4), Configuration((1, 1, 1, 3)), 1)
-    assert (res.decision, res.rejected_by, res.states) == (False, "b", 1)
     rng = random.Random(20)
     seeded = 0
     while seeded < 150:
