@@ -55,14 +55,15 @@ def _search(g: Graph, c: Configuration, r: int, budget: int) -> OracleResult:
     if start[r] == 0:
         return OracleResult(False, None, 1, rejected_by="a")
     dist = g.distances()
-    # cap[v], rule (b): the largest caps settle first, offering every v
-    # nearer than them its distance; offers below 2 change nothing.
+    # cap[v], rule (b): the largest unsettled cap is final, as offers stay
+    # below the cap offering them; it offers each v nearer than it that
+    # distance.  Below 3 the offers are 1, which every v != r has.
     cap = list(dist[r])
     sources = [v for v in range(n) if v != r]     # rule (a)
     todo = sources.copy()
     while todo:
-        todo.sort(key=cap.__getitem__)
-        w = todo.pop()
+        w = max(todo, key=cap.__getitem__)
+        todo.remove(w)
         top = cap[w]
         if top <= 2:
             break
@@ -73,7 +74,7 @@ def _search(g: Graph, c: Configuration, r: int, budget: int) -> OracleResult:
     if any(start[v] > cap[v] for v in sources):
         return OracleResult(False, None, 1, rejected_by="b")
     # at[v][k]: the vertices at distance exactly k from v, ascending,
-    # built when v first moves.
+    # built when v first moves, so a small budget pays for few rows.
     at: list[Optional[list[list[int]]]] = [None] * n
 
     def shells(v: int) -> list[list[int]]:

@@ -221,7 +221,8 @@ def test_piles_that_cannot_reach_the_target_are_rejected():
 
 def test_plans_pinned(atlas7):
     """Every decision and plan from the all-ones start on every atlas
-    target, and on grid 4x3, C11 and K(7,3) at r = 0, by one SHA-256."""
+    target, and on grid 4x3, C11 and K(7,3) at r = 0, by one SHA-256.
+    A cut that drops only subtrees without a goal leaves it unchanged."""
     h = hashlib.sha256()
     cases = [(g, r) for g in atlas7 for r in range(g.n)]
     cases += [(g, 0) for g in (grid_graph(4, 3), cycle_graph(11),
@@ -237,6 +238,7 @@ def test_plans_pinned(atlas7):
 
 
 def test_visited_states_stay_compact():
+    """Peak traced bytes per visited state, set slots included."""
     g = grid_graph(4, 4)
     g.distances()
     tracemalloc.start()
