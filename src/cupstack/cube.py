@@ -20,9 +20,11 @@ so building a plan runs no search and this module needs no `oracle`.
 Every fragment is a cached template of flat moves [s0, d0, s1, d1, ...]
 over relative vertex indices: index i * 2^k + rel is the vertex at
 relative mask rel of the i-th subcube in play, and -1 is the target.
-Emitting a fragment adds its labels, times cached 32-bit lane masks, to
-its cached offsets as one big int, and appends that int's bytes to the
-plan's one flat int array (typecode `graphs.PLAN_TYPECODE`).
+Fragments go out in batches, one `_emit` call per phase and level: a
+column of subcube labels per slot, a byte per fragment to pick its
+template.  Strided slice assignment copies a chunk's labels into 32-bit
+lanes; read as one big int they are masked to 0 at the target, or-ed with
+the cached offsets and appended to the plan's flat int array.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import compress
-from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from itertools import chain, compress
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .graphs import PLAN_TYPECODE, Plan
 
@@ -166,30 +167,49 @@ def _offsets(dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(table)
 
 
+_CHUNK = 128    # fragments per `_emit` chunk; bounds its temporaries
+
+
 @lru_cache(maxsize=None)
-def _lanes(dims: tuple[int, ...], template: tuple[int, ...]) -> tuple:
-    """`template` as native-order lanes of PLAN_TYPECODE, 32 bits, one
-    per entry: the offsets over `dims` (0 for the target), and per
-    subcube i a 1 in its lanes."""
+def _lanes(dims: tuple[int, ...], template: tuple[int, ...]) -> tuple[bytes, bytes]:
+    """`template` as native-order lanes of PLAN_TYPECODE, one per entry:
+    the offsets over `dims` (0 at the target), and a mask that keeps every
+    lane but the target's."""
     offs = _offsets(dims)
-    size = len(offs)
-    pack = lambda xs: int.from_bytes(array(PLAN_TYPECODE, xs).tobytes(),
-                                     sys.byteorder)
-    return (pack(offs[x % size] if x >= 0 else 0 for x in template),
-            tuple(pack(x >= 0 and x // size == i for x in template)
-                  for i in range(max(template, default=-1) // size + 1)))
+    pack = lambda xs: array(PLAN_TYPECODE, xs).tobytes()
+    return (pack(offs[x % len(offs)] if x >= 0 else 0 for x in template),
+            pack(-1 if x >= 0 else 0 for x in template))
 
 
-def _emit(out: array, bases: Sequence[int], dims: Sequence[int],
-          template: Sequence[int]) -> array:
-    """Append a fragment template to `out` and return it: index
-    i * 2^k + rel is the vertex at relative mask rel of the subcube at
-    bases[i], and -1 is the target.  Bases must leave the `dims` bits
-    clear (so base | offset == base + offset) and every vertex must stay
-    below 2^31 (d <= 20 keeps it below 2^20), so no lane carries over."""
-    offs, masks = _lanes(tuple(dims), tuple(template))
-    x = offs + sum(map(mul, bases, masks))
-    out.frombytes(x.to_bytes(out.itemsize * len(template), sys.byteorder))
+def _emit(out: array, columns: Sequence[Sequence[int]], dims: Sequence[int],
+          templates: Mapping[int, Sequence[int]], picks: bytes) -> array:
+    """Append a batch of fragments to `out` and return it: fragment f
+    follows templates[picks[f]], where index i * 2^k + rel is the vertex
+    at relative mask rel of the subcube at columns[i][f], and -1 is the
+    target.  The templates of a batch have equal length and give each
+    entry that is not the target to the same subcube.  Bases must leave
+    the `dims` bits clear (so base | offset == base + offset) and every
+    vertex must stay below 2^31 (d <= 20 keeps it below 2^20), so no lane
+    carries over."""
+    if not picks:
+        return out
+    dims = tuple(dims)
+    offsets, keeps = ({p: _lanes(dims, tuple(t))[half] for p, t in templates.items()}
+                      for half in (0, 1))
+    entries = list(zip(*templates.values(), strict=True))
+    width = len(entries)
+    owners = [(j, max(e) >> len(dims)) for j, e in enumerate(entries) if max(e) >= 0]
+    order = sys.byteorder
+    for lo in range(0, len(picks), _CHUNK):
+        part = picks[lo:lo + _CHUNK]
+        bases = [array(PLAN_TYPECODE, col[lo:lo + _CHUNK]) for col in columns]
+        block = array(PLAN_TYPECODE, bytes(out.itemsize * width * len(part)))
+        for j, i in owners:
+            block[j::width] = bases[i]
+        x = (int.from_bytes(block, order)
+             & int.from_bytes(b"".join(map(keeps.__getitem__, part)), order)
+             | int.from_bytes(b"".join(map(offsets.__getitem__, part)), order))
+        out.frombytes(x.to_bytes(out.itemsize * len(block), order))
     return out
 
 
@@ -280,18 +300,14 @@ def plan_level4_3cubes(d: int, out: array) -> array:
     n = d - 3
     dims = (d - 3, d - 2, d - 1)
     cycle = [sum(1 << (e - 1) for e in c) for c in revolving_door(n, 4)]
-    idx = 0
-    if len(cycle) % 2:
-        u, v, w = cycle[0], cycle[1], cycle[2]
-        assert (u ^ v).bit_count() == 2 and (v ^ w).bit_count() == 2
-        _emit(out, (u, v, w), dims, _TRIPLE_FLAT)
-        idx = 3
-    while idx < len(cycle):
-        u, v = cycle[idx], cycle[idx + 1]
-        assert (u ^ v).bit_count() == 2
-        _emit(out, (u, v), dims, _PAIR_FLAT)
-        idx += 2
-    return out
+    odd = 3 if len(cycle) % 2 else 0
+    triple, us, vs = cycle[:odd], cycle[odd::2], cycle[odd + 1::2]
+    for u, v in chain(zip(triple, triple[1:]), zip(us, vs)):
+        if (u ^ v).bit_count() != 2:
+            raise CubeError(f"revolving-door labels {u} and {v} are not adjacent")
+    if triple:
+        _emit(out, [(u,) for u in triple], dims, {0: _TRIPLE_FLAT}, b"\0")
+    return _emit(out, (us, vs), dims, {0: _PAIR_FLAT}, bytes(len(us)))
 
 
 # Chain-triple gadgets at levels 9 to 12.  A gather is the flat moves,
@@ -351,27 +367,37 @@ class CubePlanResult(NamedTuple):
     phase_moves: dict
 
 
+# Level -> flag or pool code tables for bytes.translate.  4-cubes of level
+# 12 and up exit whole; the rest split into 3-cubes m and m | top, whose
+# pool code is their level until they have moves, then _GONE.
+_GONE = 255
+_HIGH = bytes(12) + b"\1" * 244
+_LOWER = bytes(range(12)) + bytes([_GONE]) * 244
+_UPPER = bytes(range(1, 13)) + bytes([_GONE]) * 244
+_BASE = b"\0\1\1\1\0\1\1\1\1" + bytes(247)      # levels 1-3 and 5-8
+
+
 def _abc_loop(pool: bytearray, dims: Sequence[int], out: array) -> list[int]:
-    """Append chain triples from the pool (a flag per label) to `out`,
-    highest level, then highest label, first, clearing the flags they take;
-    returns the labels that cannot join any triple (the reported gap)."""
+    """Append chain triples from the pool to `out`, one batch per level
+    from 12 (the highest in the pool) down to 9, highest label first,
+    marking the labels they take _GONE; returns the labels that cannot
+    join any triple (the reported gap)."""
     unassigned: list[int] = []
-    levels: list[list[int]] = [[] for _ in range(len(pool).bit_length())]
-    for m in compress(range(len(pool)), pool):
-        levels[m.bit_count()].append(m)
-    for level in range(len(levels) - 1, 8, -1):
-        for a in reversed(levels[level]):
-            if not pool[a]:         # already in a higher triple
-                continue
-            pool[a] = 0
+    for level in range(12, 8, -1):
+        abc = array(PLAN_TYPECODE)            # a, b, c of each triple in turn
+        a = len(pool)
+        while (a := pool.rfind(level, 0, a)) >= 0:
+            pool[a] = _GONE
             b, c = _phi_pair(a)
             if c is None:
                 unassigned.append(a)
                 continue
-            if not (pool[b] and pool[c]):
+            if pool[b] != level - 1 or pool[c] != level - 2:
                 raise AssertionError("chain neighbors missing from the pool")
-            pool[b] = pool[c] = 0
-            _emit(out, (a, b, c), dims, _abc_flat(level))
+            pool[b] = pool[c] = _GONE
+            abc.extend((a, b, c))
+        _emit(out, (abc[::3], abc[1::3], abc[2::3]), dims, {0: _abc_flat(level)},
+              bytes(len(abc) // 3))
     return sorted(unassigned)
 
 
@@ -393,34 +419,31 @@ def plan_cube(d: int) -> CubePlanResult:
             phases[name] = phases.get(name, 0) + (len(out) - start) // 2
 
     if d <= 6:
-        _emit(out, (0,), tuple(range(d)), _solve(d, 0))
+        _emit(out, [(0,)], range(d), {0: _solve(d, 0)}, b"\0")
         phases["direct"] = len(out) // 2
     elif d == 7:
         dims4 = (3, 4, 5, 6)
         for label in range(8):
             start = len(out)
             if label.bit_count() <= 2:
-                _emit(out, (label,), dims4, _solve(4, label.bit_count()))
+                _emit(out, [(label,)], dims4, {0: _solve(4, label.bit_count())}, b"\0")
                 phase("low-4cubes", start)
             else:
-                _emit(out, (label,), dims4, _LEVEL3_4CUBE_FLAT)
+                _emit(out, [(label,)], dims4, {0: _LEVEL3_4CUBE_FLAT}, b"\0")
                 phase("level3-4cube", start)
     else:
-        # 4-cubes of level 12 and up (d >= 16) exit whole; the rest split
-        # into 3-cube pairs along the first 4-cube dimension.  Chain
-        # triples start at d = 12, the first d with a level-9 3-cube.
+        # levels[m] is the level of 4-cube m.  Chain triples start at d = 12,
+        # the first d with a level-9 3-cube.
         n = d - 3
         dims4 = (d - 4, d - 3, d - 2, d - 1)
         dims3 = dims4[1:]
-        top = 1 << (n - 1)
-        pool = bytearray(1 << n)
+        levels = bytes(map(int.bit_count, range(1 << (n - 1))))
+        high = levels.translate(_HIGH)
         start = len(out)
-        for label in range(top):
-            if label.bit_count() >= 12:
-                _emit(out, (label,), dims4, _solve(4, label.bit_count()))
-            else:
-                pool[label] = pool[label | top] = 1
+        _emit(out, [array(PLAN_TYPECODE, compress(range(len(levels)), high))], dims4,
+              {l: _solve(4, l) for l in range(12, 17)}, bytes(compress(levels, high)))
         phase("high-4cubes", start)
+        pool = bytearray(levels.translate(_LOWER) + levels.translate(_UPPER))
         start = len(out)
         unassigned = _abc_loop(pool, dims3, out)
         phase("chain-triples", start)
@@ -428,10 +451,12 @@ def plan_cube(d: int) -> CubePlanResult:
         plan_level4_3cubes(d, out)
         phase("level4-3cubes", start)
         start = len(out)
-        for label in compress(range(len(pool)), pool):
-            level = label.bit_count()
-            if level != 4:          # the level-4 gadgets above cover these
-                _emit(out, (label,), dims3, _solve(3, level))
+        # Label 0 first (its template is shorter), then the rest but level 4,
+        # which the gadgets above cover.
+        _emit(out, [(0,)], dims3, {0: _solve(3, 0)}, b"\0")
+        base = pool.translate(_BASE)
+        _emit(out, [array(PLAN_TYPECODE, compress(range(len(pool)), base))], dims3,
+              {l: _solve(3, l) for l in (1, 2, 3, 5, 6, 7, 8)}, bytes(compress(pool, base)))
         phase("base-3cubes", start)
 
     plan = Plan(1 << d, 0, out)

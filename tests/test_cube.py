@@ -167,8 +167,9 @@ def subcube_vertices(base: int, dims) -> list[int]:
 
 
 def _emit_reference(out, bases, dims, template):
-    """The table lookup that `_emit`'s lane arithmetic replaced: global
-    vertices of every subcube in turn, then the target as entry -1."""
+    """One fragment by table lookup, the reference for `_emit`'s batched
+    lane arithmetic: global vertices of every subcube in turn, then the
+    target as entry -1."""
     offs = _offsets(tuple(dims))
     table = [base | off for base in bases for off in offs]
     table.append(0)
@@ -192,28 +193,38 @@ def emit_templates() -> list[tuple[int, tuple[int, ...]]]:
 def test_emit_matches_table_lookup_reference():
     # dims are the top k bits of d = 20, and the bases are random labels
     # below them plus the all-ones label, so vertices reach 2^20 - 1.
+    # Batches hold one template each, or mix the 3-cube levels 1-3 and
+    # 5-8 or the 4-cube levels 12-16 as plan_cube does, and their sizes
+    # straddle one chunk.
     rng = random.Random(20261020)
-    for k, template in emit_templates():
+    groups = [(k, {0: template}) for k, template in emit_templates()]
+    groups += [(3, {l: _solve(3, l) for l in (1, 2, 3, 5, 6, 7, 8)}),
+               (4, {l: _solve(4, l) for l in range(12, 17)})]
+    for k, templates in groups:
         dims = tuple(range(20 - k, 20))
-        cubes = max(template, default=-1) // (1 << k) + 1
+        cubes = max(max(t, default=-1) for t in templates.values()) // (1 << k) + 1
         top = (1 << (20 - k)) - 1
-        for trial in range(20):
-            bases = [top if trial == 0 else rng.randrange(top + 1)
-                     for _ in range(cubes)]
-            prefix = [rng.randrange(1 << 20) for _ in range(trial % 3)]
-            got = _emit(array(PLAN_TYPECODE, prefix), bases, dims, template)
-            want = _emit_reference(array(PLAN_TYPECODE, prefix), bases, dims, template)
+        for count in (0, 1, cube._CHUNK - 1, cube._CHUNK, cube._CHUNK + 1):
+            picks = bytes(rng.choice(list(templates)) for _ in range(count))
+            columns = [array(PLAN_TYPECODE, [top if f == 0 else rng.randrange(top + 1)
+                                             for f in range(count)])
+                       for _ in range(cubes)]
+            prefix = [rng.randrange(1 << 20) for _ in range(1 + count % 3)]
+            got = _emit(array(PLAN_TYPECODE, prefix), columns, dims, templates, picks)
+            want = array(PLAN_TYPECODE, prefix)
+            for f, pick in enumerate(picks):
+                _emit_reference(want, [col[f] for col in columns], dims, templates[pick])
             assert got == want
 
 
 def test_low_subcube_k1_level0():
-    moves = _emit(array(PLAN_TYPECODE), (0b0,), (0,), _solve(1, 0))
+    moves = _emit(array(PLAN_TYPECODE), [(0b0,)], (0,), {0: _solve(1, 0)}, b"\0")
     assert pairs(moves) == [(1, 0)]
     replay_fragment(1, moves, [0, 1])
 
 
 def test_low_subcube_full_q3():
-    moves = _emit(array(PLAN_TYPECODE), (0,), (0, 1, 2), _solve(3, 0))
+    moves = _emit(array(PLAN_TYPECODE), [(0,)], (0, 1, 2), {0: _solve(3, 0)}, b"\0")
     replay_fragment(3, moves, range(8))
 
 
@@ -231,12 +242,12 @@ def test_low_subcube_all_placements_small():
                     template = _solve(k, base.bit_count())
                 except CubeError:
                     continue      # level out of the fragment's window
-                moves = _emit(array(PLAN_TYPECODE), (base,), dims, template)
+                moves = _emit(array(PLAN_TYPECODE), [(base,)], dims, {0: template}, b"\0")
                 replay_fragment(d, moves, subcube_vertices(base, dims))
 
 
 def test_high_kcube_level5_3cube():
-    moves = _emit(array(PLAN_TYPECODE), (0b11111,), (5, 6, 7), _solve(3, 5))
+    moves = _emit(array(PLAN_TYPECODE), [(0b11111,)], (5, 6, 7), {0: _solve(3, 5)}, b"\0")
     assert len(pairs(moves)) == 8     # 7 in-cube moves plus the jump
     src, dst = pairs(moves)[-1]
     assert src.bit_count() == 8 and dst == 0
@@ -245,7 +256,8 @@ def test_high_kcube_level5_3cube():
 
 def test_high_kcube_4cube_in_q16():
     base = sum(1 << i for i in range(12))
-    moves = _emit(array(PLAN_TYPECODE), (base,), (12, 13, 14, 15), _solve(4, 12))
+    moves = _emit(array(PLAN_TYPECODE), [(base,)], (12, 13, 14, 15), {0: _solve(4, 12)},
+                  b"\0")
     assert len(pairs(moves)) == 16
     src, dst = pairs(moves)[-1]
     assert src.bit_count() == 16 and dst == 0
@@ -257,7 +269,7 @@ def test_high_kcube_level16_forced_placement():
     # and the subcube's top vertex is the global all-ones vertex.
     base = (1 << 16) - 1
     dims = (16, 17, 18, 19)
-    moves = _emit(array(PLAN_TYPECODE), (base,), dims, _solve(4, 16))
+    moves = _emit(array(PLAN_TYPECODE), [(base,)], dims, {0: _solve(4, 16)}, b"\0")
     assert pairs(moves)[-1] == (base, 0)
     assert base | _offsets(dims)[0b1111] == (1 << 20) - 1
 
@@ -270,7 +282,7 @@ def test_high_kcube_level_window():
 def test_level3_4cube_gadget():
     base = 0b111
     dims = (3, 4, 5, 6)
-    moves = _emit(array(PLAN_TYPECODE), (base,), dims, _LEVEL3_4CUBE_FLAT)
+    moves = _emit(array(PLAN_TYPECODE), [(base,)], dims, {0: _LEVEL3_4CUBE_FLAT}, b"\0")
     assert len(pairs(moves)) == 16    # each of the 16 cups moves exactly once
     exits = [(a, b) for a, b in pairs(moves) if b == 0]
     assert sorted(a.bit_count() for a, _ in exits) == [3, 6, 7]
@@ -292,6 +304,20 @@ def test_level4_gadgets_d9():
     replay_fragment(9, moves, vertices)
 
 
+@pytest.mark.parametrize("order", [
+    [(1, 2, 3, 4), (3, 4, 5, 6)],                       # a pair
+    [(1, 2, 3, 4), (1, 2, 3, 5), (3, 4, 5, 6)],         # the odd triple
+])
+def test_level4_gadgets_reject_nonadjacent_labels(monkeypatch, order):
+    # The gadgets need labels two bits apart; the check raises, so it
+    # holds under `python -O` too, and it runs before any move is written.
+    monkeypatch.setattr(cube, "revolving_door", lambda m, k: order)
+    out = array(PLAN_TYPECODE)
+    with pytest.raises(CubeError, match="not adjacent"):
+        plan_level4_3cubes(9, out)
+    assert len(out) == 0
+
+
 def test_abc_triple_levels():
     # Chain triples at each supported level, replayed at the smallest d
     # where such levels occur (d = 12..15 for levels 9..12).
@@ -302,7 +328,7 @@ def test_abc_triple_levels():
         b = phi(n, a)
         c = phi(n, b)
         dims = (d - 3, d - 2, d - 1)
-        moves = _emit(array(PLAN_TYPECODE), (a, b, c), dims, _abc_flat(l))
+        moves = _emit(array(PLAN_TYPECODE), [(a,), (b,), (c,)], dims, {0: _abc_flat(l)}, b"\0")
         vertices = [v for base in (a, b, c)
                     for v in subcube_vertices(base, dims)]
         replay_fragment(d, moves, vertices)
@@ -441,8 +467,12 @@ def test_plan_cube_deterministic():
     assert plan_cube(9).plan.moves == plan_cube(9).plan.moves
 
 
-# Built once per d for the two pin tests below.
-_pinned_plan = functools.cache(lambda d: plan_cube(d).plan)
+# Built once per d for the pin tests below.
+_pinned_result = functools.cache(plan_cube)
+
+
+def _pinned_plan(d):
+    return _pinned_result(d).plan
 
 
 @pytest.mark.parametrize("d, digest", [
@@ -507,3 +537,13 @@ def test_plan_cube_memory_per_move():
     finally:
         tracemalloc.stop()
     assert peak < 12 * len(result.plan.moves)
+
+
+def test_plan_cube_result_fields_pinned():
+    # The fields besides the moves, which `cupstack cube` and the
+    # benchmark's traced run report: SHA-256 over (d, complete, unassigned,
+    # sorted phase_moves) for d = 0..20.
+    rows = [[d, res.complete, list(res.unassigned), sorted(res.phase_moves.items())]
+            for d, res in ((d, _pinned_result(d)) for d in range(21))]
+    assert (hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+            == "14d5813fbd208953a074411b67d71002e839aaacb9541377f0f467d385f1ab17")
