@@ -191,12 +191,12 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if (args.graph is None) == (args.cube is None):
+        raise ValueError("verify needs exactly one of -g and --cube")
     plan = _load_plan(args.plan)
     if args.cube is not None:
         board = graphs.CubeBoard(args.cube)
     else:
-        if not args.graph:
-            raise ValueError("verify needs -g or --cube")
         board = _load_graph(args.graph)
     res = graphs.verify_plan(board, plan)
     out = {"accepted": bool(res)}
@@ -211,7 +211,7 @@ def _cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
     r = args.target
     initial = graphs.Configuration.all_ones(g.n)
-    if args.config:
+    if args.config is not None:
         fields = [f.strip() for f in args.config.split(",")]
         for i, field in enumerate(fields):
             if not graphs._is_ascii_int(field):
@@ -291,10 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
         if graph:
             p.add_argument("-g", "--graph", help="graph file")
 
-    budget = _default_budget()
-
     def budget_arg(p):
-        p.add_argument("--budget", type=_positive_int, default=budget,
+        p.add_argument("--budget", type=_positive_int,
                        help="oracle state budget")
 
     p = sub.add_parser("gen", help="generate a family graph")
@@ -358,6 +356,10 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        # Only the commands that search read the budget variable, and
+        # only when --budget is absent.
+        if "budget" in vars(args) and args.budget is None:
+            args.budget = _default_budget()
         return _HANDLERS[args.cmd](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_YES

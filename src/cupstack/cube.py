@@ -44,41 +44,6 @@ class CubeError(ValueError):
 
 # ------------------------------------------------ symmetric chain machinery
 
-def _unmatched(n: int, mask: int) -> tuple[list[int], list[int]]:
-    """Bracket-match each member (1) with an earlier non-member (0);
-    returns the unmatched one-positions and zero-positions."""
-    stack: list[int] = []
-    ones: list[int] = []
-    for i in range(n):
-        if mask >> i & 1:
-            if stack:
-                stack.pop()
-            else:
-                ones.append(i)
-        else:
-            stack.append(i)
-    return ones, stack
-
-
-def scd(n: int) -> list[list[int]]:
-    """Symmetric chain decomposition of the subsets of an n-element set,
-    as lists of bitmasks in ascending order."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    chains = []
-    for mask in range(1 << n):
-        ones, zeros = _unmatched(n, mask)
-        if ones:
-            continue               # not a chain bottom
-        chain = [mask]
-        cur = mask
-        for z in zeros:
-            cur |= 1 << z
-            chain.append(cur)
-        chains.append(chain)
-    return chains
-
-
 def _walk_byte(b: int) -> tuple[int, int, int, int]:
     """Bracket walk over the 8 bits of b, low bit first, +1 for a one and
     -1 for a zero: (sum, best prefix, first position of the best, first
@@ -120,6 +85,27 @@ def _phi_pair(mask: int) -> tuple[Optional[int], Optional[int]]:
         return None, None
     b = mask & ~(1 << pos)
     return b, (b & ~(1 << below) if below >= 0 else None)
+
+
+def scd(n: int) -> list[list[int]]:
+    """Symmetric chain decomposition of the subsets of an n-element set,
+    as lists of bitmasks in ascending order, in order of their bottoms.
+    The chains are grown by `phi`: a set's predecessor is smaller than
+    it, so in numeric order each set extends the chain that ends there."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    chains = []
+    top: dict[int, list[int]] = {}          # each chain by its last set
+    for mask in range(1 << n):
+        pred = _phi_pair(mask)[0]
+        if pred is None:                     # a chain bottom
+            chain = [mask]
+            chains.append(chain)
+        else:
+            chain = top.pop(pred)
+            chain.append(mask)
+        top[mask] = chain
+    return chains
 
 
 def phi(n: int, mask: int) -> int:

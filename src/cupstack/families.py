@@ -3,7 +3,7 @@ and `FAMILIES`, the table that names them."""
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .graphs import CubeBoard, Graph, Plan, eccentricity
@@ -136,51 +136,53 @@ def _endpoint_moves(seq: Sequence[int]) -> list[int]:
     return out
 
 
-def _stack_path_onto(seq: Sequence[int], j: int) -> list[int]:
-    """Flat moves stacking a fresh all-ones path onto seq[j] (any position)."""
+def _stack_lines(parts: Sequence[tuple[Sequence[int], int]],
+                 target: int) -> list[int]:
+    """Flat moves stacking fresh all-ones lines onto target.  A part
+    (line, stage) is an isometric path with dist(line[stage], target) =
+    len(line), so it is one part of a stacking partition: each side of the
+    stage piles up on its far end and jumps to line[stage], and the whole
+    pile then jumps to the target.  Empty lines are skipped."""
     moves: list[int] = []
-    left = list(seq[:j])
-    if left:
-        moves += _endpoint_moves(left)           # pile at seq[0], distance j
-        moves += (left[0], seq[j])
-    right = list(reversed(seq[j + 1:]))
-    if right:
-        moves += _endpoint_moves(right)          # pile at seq[-1]
-        moves += (right[0], seq[j])
+    for line, stage in parts:
+        if not line:
+            continue
+        for side in (line[:stage], line[:stage:-1]):
+            if side:
+                moves += _endpoint_moves(side)
+                moves += (side[0], line[stage])
+        moves += (line[stage], target)
     return moves
 
 
 def plan_path(n: int, r: int) -> Plan:
+    """Each side of r piles up on its far end, whose distance to r equals
+    the side's size."""
     if not 0 <= r < n:
         raise FamilyError("target out of range")
-    return Plan(n, r, _stack_path_onto(range(n), r))
+    line = range(n)
+    return Plan(n, r, _stack_lines([(line[:r], 0), (line[:r:-1], 0)], r))
 
 
 def plan_cycle(n: int, r: int) -> Plan:
     """Cut the cycle open at the far side of r and stack the resulting
-    path onto r: each arc piles up on its far end, whose distance to r
-    equals the arc size."""
+    path onto r, as `plan_path` does."""
     if not 0 <= r < n:
         raise FamilyError("target out of range")
     if n < 3:
         raise FamilyError("cycle needs n >= 3")
     m = n // 2
     arc = [(r + i) % n for i in range(m, m - n, -1)]   # r sits at index m
-    return Plan(n, r, _stack_path_onto(arc, m))
+    return Plan(n, r, _stack_lines([(arc[:m], 0), (arc[:m:-1], 0)], r))
 
 
 def plan_spider(legs: Sequence[int]) -> Plan:
     """Stack a spider onto its root: each leg piles up on its leaf, then
     the whole pile jumps the leg length back to the root."""
     g = spider_graph(legs)
-    moves: list[int] = []
-    nxt = 1
-    for length in legs:
-        leg = list(range(nxt, nxt + length))
-        nxt += length
-        moves += _endpoint_moves(list(reversed(leg)))   # stack onto the leaf
-        moves += (leg[-1], 0)
-    return Plan(g.n, 0, moves)
+    ends = list(accumulate(legs, initial=0))   # leg i is ends[i]+1..ends[i+1]
+    parts = [(range(hi, lo, -1), 0) for lo, hi in zip(ends, ends[1:])]
+    return Plan(g.n, 0, _stack_lines(parts, 0))
 
 
 def multipartite_decide(sizes: Sequence[int], i: int) -> tuple[bool, Optional[Plan]]:
@@ -250,63 +252,31 @@ def plan_grid(m: int, k: int, r: tuple[int, int]) -> Plan:
     if m == 1 or k == 1:
         plan = plan_path(max(m, k), a if k == 1 else b)
         return Plan(m * k, plan.target, plan.flat)
-    vid = lambda x, y: y * m + x
-    target = vid(a, b)
-    moves: list[int] = []
-    # Arms before donation: lists run from the cell next to r outward.
-    arms = {
-        "E": [vid(x, b) for x in range(a + 1, m)],
-        "N": [vid(a, y) for y in range(b + 1, k)],
-        "W": [vid(x, b) for x in range(a - 1, -1, -1)],
-        "S": [vid(a, y) for y in range(b - 1, -1, -1)],
-    }
-    donated: set[str] = set()
-
-    def quadrant(sx: int, sy: int, steal_arm: str) -> None:
-        w = (m - 1 - a) if sx > 0 else a
-        h = (k - 1 - b) if sy > 0 else b
-        if w == 0 or h == 0:
-            return
-        cell = lambda i, t: vid(a + sx * i, b + sy * t)
-        if w > h:
-            lines = [[cell(i, t) for i in range(1, w + 1)] for t in range(1, h + 1)]
-            stages = [w - t - 1 for t in range(1, h + 1)]   # list index of stage
-        elif h > w:
-            lines = [[cell(s, t) for t in range(1, h + 1)] for s in range(1, w + 1)]
-            stages = [h - s - 1 for s in range(1, w + 1)]
+    target = b * m + a
+    # The arms E, N, W, S as (index step, length): vertex (x, y) has index
+    # y*m + x, so a step along an arm adds a constant.
+    arms = [(1, m - 1 - a), (m, k - 1 - b), (-1, a), (-m, b)]
+    parts: list[tuple[Sequence[int], int]] = []
+    lent = []
+    for (du, lu), (dv, lv) in zip(arms, arms[1:] + arms[:1]):
+        # The quadrant between arms u and v is cut into lines of length L
+        # along its longer side (along v when it is square), line j at
+        # offset j along the shorter side and staged where its distance
+        # to r is L.  A square quadrant's last line starts on u's far
+        # cell, so it is one longer and staged at its second cell.
+        if lu > lv:
+            (dl, L), (ds, S) = (du, lu), (dv, lv)
         else:
-            # Square quadrant: all lines but the last are staged as usual;
-            # the last line grows by the far cell of the adjacent arm and
-            # is staged one step further out.
-            if steal_arm in ("E", "W"):                      # column lines
-                lines = [[cell(s, t) for t in range(1, h + 1)]
-                         for s in range(1, w)]
-                stages = [h - s - 1 for s in range(1, w)]
-                extended = [cell(w, t) for t in range(0, h + 1)]
-            else:                                            # row lines
-                lines = [[cell(i, t) for i in range(1, w + 1)]
-                         for t in range(1, h)]
-                stages = [w - t - 1 for t in range(1, h)]
-                extended = [cell(i, h) for i in range(0, w + 1)]
-            donated.add(steal_arm)
-            lines.append(extended)
-            stages.append(1)
-        for line, stage in zip(lines, stages):
-            moves.extend(_stack_path_onto(line, stage))
-            moves.extend((line[stage], target))
-
-    quadrant(+1, +1, "E")    # north-east steals the east arm's far cell
-    quadrant(-1, +1, "N")
-    quadrant(-1, -1, "W")
-    quadrant(+1, -1, "S")
-    for name, cells in arms.items():
-        if name in donated:
-            cells = cells[:-1]
-        if not cells:
-            continue
-        moves.extend(_endpoint_moves(list(reversed(cells))))
-        moves += (cells[-1], target)
-    return Plan(m * k, target, moves)
+            (dl, L), (ds, S) = (dv, lv), (du, lu)
+        parts += [([target + j * ds + i * dl for i in range(1, L + 1)],
+                   L - j - 1) for j in range(1, S + 1)]
+        lent.append(0 < S == L)
+        if lent[-1]:
+            parts[-1] = ([target + S * ds + i * dl for i in range(L + 1)], 1)
+    # Then each arm, less a lent far cell, piles up on its far end.
+    parts += [([target + i * d for i in range(length - gone, 0, -1)], 0)
+              for (d, length), gone in zip(arms, lent)]
+    return Plan(m * k, target, _stack_lines(parts, target))
 
 
 # ------------------------------------------------------------------ registry

@@ -447,26 +447,6 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def legal_move(board, c: Configuration, mv: Move) -> bool:
-    """A move is legal when both endpoints hold a cup and the pile on the
-    source exactly covers the hop distance to the destination."""
-    pile = c.counts[mv.src]
-    return pile >= 1 and c.counts[mv.dst] >= 1 and board.dist(mv.src, mv.dst) == pile
-
-
-def apply_move(c: Configuration, mv: Move) -> Configuration:
-    if mv.src == mv.dst:
-        raise ValueError("move endpoints must differ")
-    if c.counts[mv.src] < 1:
-        raise ValueError(f"source {mv.src} has no cup")
-    if c.counts[mv.dst] < 1:
-        raise ValueError(f"destination {mv.dst} has no cup")
-    counts = list(c.counts)
-    counts[mv.dst] += counts[mv.src]
-    counts[mv.src] = 0
-    return Configuration(tuple(counts))
-
-
 class VerifyResult(NamedTuple):
     ok: bool
     step: Optional[int] = None

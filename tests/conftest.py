@@ -8,9 +8,31 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from cupstack.graphs import Configuration, Graph
+from cupstack.graphs import Configuration, Graph, Move
 from cupstack.matching import augment, blossom_search
 from cupstack.oracle import oracle_search
+
+
+def legal_move(board, c: Configuration, mv: Move) -> bool:
+    """A move is legal when both endpoints hold a cup and the pile on the
+    source exactly covers the hop distance to the destination: the rule
+    that `verify_plan` replays, one move at a time."""
+    pile = c.counts[mv.src]
+    return pile >= 1 and c.counts[mv.dst] >= 1 and board.dist(mv.src, mv.dst) == pile
+
+
+def apply_move(c: Configuration, mv: Move) -> Configuration:
+    """The configuration after moving the pile on mv.src onto mv.dst."""
+    if mv.src == mv.dst:
+        raise ValueError("move endpoints must differ")
+    if c.counts[mv.src] < 1:
+        raise ValueError(f"source {mv.src} has no cup")
+    if c.counts[mv.dst] < 1:
+        raise ValueError(f"destination {mv.dst} has no cup")
+    counts = list(c.counts)
+    counts[mv.dst] += counts[mv.src]
+    counts[mv.src] = 0
+    return Configuration(tuple(counts))
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:

@@ -10,8 +10,8 @@ from math import comb
 
 import pytest
 
-from conftest import (brute_force_matching_number, max_matching_size,
-                      oracle_stackable, random_bare_graph,
+from conftest import (apply_move, brute_force_matching_number, legal_move,
+                      max_matching_size, oracle_stackable, random_bare_graph,
                       random_connected_graph)
 from cupstack.graphs import (Configuration, CubeBoard, Graph, Move, Plan,
                              shells, verify_barrier, verify_plan)
@@ -22,7 +22,6 @@ from cupstack.families import (cycle_graph, grid_graph, kneser_stackable,
                                star_graph)
 from cupstack.oracle import oracle_search
 from cupstack.cube import phi, plan_cube, revolving_door, scd
-from cupstack.graphs import apply_move, legal_move
 
 
 def report(line: str) -> None:

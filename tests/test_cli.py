@@ -105,6 +105,14 @@ def test_bad_budget_variable_is_usage_error(capsys, monkeypatch):
         assert code == 2 and "CUPSTACK_ORACLE_BUDGET" in err
 
 
+def test_bad_budget_variable_spares_commands_without_budget(capsys,
+                                                          monkeypatch):
+    monkeypatch.setenv("CUPSTACK_ORACLE_BUDGET", "abc")
+    code = main(["gen", "path", "3"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out.startswith("n 3") and captured.err == ""
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_nonpositive_budget_is_usage_error(tmp_path, capsys, value):
     graph = gen(tmp_path, capsys, "path", 4)
@@ -141,6 +149,12 @@ def test_verify_rejects_wrong_plan(tmp_path, capsys):
                                "moves": [[1, 0], [2, 0]]}))
     code, data, _ = run(capsys, "verify", "-g", graph, "-p", str(bad))
     assert code == 1 and data["accepted"] is False and data["step"] == 1
+
+
+def test_verify_refuses_graph_and_cube_together(capsys):
+    code, data, err = run(capsys, "verify", "-g", str(FIXTURES / "p4.graph"),
+                          "--cube", "2", "-p", str(FIXTURES / "p4.plan.json"))
+    assert code == 2 and data is None and "-g" in err and "--cube" in err
 
 
 @pytest.mark.parametrize("moves, index", [
@@ -187,7 +201,8 @@ def test_oracle_with_plan_and_config(tmp_path, capsys):
 
 def test_oracle_config_accepts_only_ascii_counts(capsys):
     graph = str(FIXTURES / "p4.graph")
-    for config, field in (("\u0661,1,1,1", 1), ("1,1,-1,1", 3)):   # Arabic-Indic 1
+    for config, field in (("\u0661,1,1,1", 1), ("1,1,-1,1", 3),   # Arabic-Indic 1
+                          ("", 1)):
         code, data, err = run(capsys, "oracle", "-g", graph, "-r", "0",
                               "--config", config)
         assert code == 2 and data is None and f"--config field {field}" in err

@@ -20,6 +20,39 @@ from cupstack.cube import (CubeError, _abc_flat, _emit, _LEVEL3_4CUBE_FLAT, _off
 
 # ------------------------------------------------------------ chain machinery
 
+def _unmatched(n: int, mask: int) -> tuple[list[int], list[int]]:
+    """Bracket-match each member (1) with an earlier non-member (0);
+    returns the unmatched one-positions and zero-positions."""
+    stack: list[int] = []
+    ones: list[int] = []
+    for i in range(n):
+        if mask >> i & 1:
+            if stack:
+                stack.pop()
+            else:
+                ones.append(i)
+        else:
+            stack.append(i)
+    return ones, stack
+
+
+def _scd_reference(n: int) -> list[list[int]]:
+    """The bracket-scan construction: each set without unmatched ones is
+    a chain bottom, and its chain adds its unmatched zeros in order."""
+    chains = []
+    for mask in range(1 << n):
+        ones, zeros = _unmatched(n, mask)
+        if ones:
+            continue               # not a chain bottom
+        chain = [mask]
+        cur = mask
+        for z in zeros:
+            cur |= 1 << z
+            chain.append(cur)
+        chains.append(chain)
+    return chains
+
+
 def test_scd_n2():
     assert sorted(scd(2)) == [[0b00, 0b01, 0b11], [0b10]]
 
@@ -48,6 +81,8 @@ def scd_invariants(n: int) -> None:
 def test_scd_invariants_small():
     for n in range(0, 11):
         scd_invariants(n)
+    for n in range(15):
+        assert scd(n) == _scd_reference(n)
 
 
 def test_phi_examples():
@@ -78,7 +113,7 @@ def test_phi_table_matches_bracket_scan():
     # walk gives phi(phi(mask)), None where a chain bottom is passed.
     for n in range(18):
         for mask in range(1 << n >> 1, 1 << n):
-            ones, _ = cube._unmatched(n, mask)
+            ones, _ = _unmatched(n, mask)
             expected = mask & ~(1 << ones[-1]) if ones else None
             b, c = cube._phi_pair(mask)
             assert b == expected, (n, mask)

@@ -1,5 +1,6 @@
 """Family generators and their constructive planners."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -254,3 +255,27 @@ def test_grids_all_targets_small():
             for x in range(m):
                 for y in range(k):
                     assert verify_plan(g, plan_grid(m, k, (x, y)))
+
+
+# ------------------------------------------------------------- pinned plans
+
+def test_family_plans_pinned():
+    """Every path and cycle plan with n <= 30, a seeded list of spiders,
+    every target of every grid up to 9x9, and the 40x40 and 60x60 grids
+    at r = 0, by one SHA-256 over their flat move arrays."""
+    rng = random.Random(2023)
+    spiders = [[rng.randint(1, 9) for _ in range(rng.randint(1, 6))]
+               for _ in range(200)]
+    plans = [plan_path(n, r) for n in range(1, 31) for r in range(n)]
+    plans += [plan_cycle(n, r) for n in range(3, 31) for r in range(n)]
+    plans += [plan_spider(legs) for legs in spiders]
+    plans += [plan_grid(m, k, (x, y)) for m in range(1, 10)
+              for k in range(1, 10) for y in range(k) for x in range(m)]
+    plans += [plan_grid(40, 40, (0, 0)), plan_grid(60, 60, (0, 0))]
+    h = hashlib.sha256()
+    for plan in plans:
+        h.update(repr((plan.n, plan.target, len(plan.flat))).encode())
+        h.update(plan.flat.tobytes())
+    assert len(plans) == 3_154
+    assert h.hexdigest() == ("95dd6aa3b7b5f9037253a3fd52d02278"
+                             "4256915d39268cd9edce93296ad15530")

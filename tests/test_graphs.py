@@ -9,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import floyd_warshall, random_connected_graph
+from conftest import (apply_move, floyd_warshall, legal_move,
+                      random_connected_graph)
 from cupstack.graphs import (Configuration, CubeBoard, Graph, GraphError,
                              Move, Plan, StackingPart, StackingPartition,
-                             apply_move, diameter, eccentricity, format_graph,
-                             legal_move, parse_graph, shells,
+                             diameter, eccentricity, format_graph,
+                             parse_graph, shells,
                              verify_partition, verify_plan)
 from cupstack.cube import plan_cube
 from cupstack.families import (FAMILIES, complete_graph, cube_graph,
@@ -347,8 +348,8 @@ def spoiled(flat: list[int], n: int) -> list[list[int]]:
 ])
 def test_spoiled_plans_get_the_matrix_tiers_verdicts(name, params, r):
     # Both graphs are read from the file `cupstack gen` writes; only the
-    # second has the all-pairs matrix, the first takes the closed form
-    # (or, for the cycle, the two-ended BFS).
+    # second has the all-pairs matrix, the first takes the grid closed
+    # form (or, for the cycle, the cycle tier).
     family = FAMILIES[name]
     plan = family.plan(list(params), r)
     text = format_graph(family.generate(*params))

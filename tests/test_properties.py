@@ -5,9 +5,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_stackable, random_connected_graph
+from conftest import (apply_move, legal_move, oracle_stackable,
+                      random_connected_graph)
 from cupstack.graphs import (Configuration, CubeBoard, Move, Plan,
-                             apply_move, legal_move, verify_plan)
+                             verify_plan)
 from cupstack.families import complete_graph, cycle_graph
 from cupstack.oracle import oracle_search
 from cupstack.cube import phi, revolving_door, scd
