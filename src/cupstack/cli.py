@@ -158,6 +158,7 @@ def _cmd_plan(args) -> int:
         fam = families.family(args.family, args.params)
         r = 0 if r is None else r
         if fam.plan is None:
+            args.budget = args.budget or _default_budget()
             g = fam.generate(*args.params)
         else:
             plan = fam.plan(args.params, r)
@@ -356,9 +357,9 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # Only the commands that search read the budget variable, and
-        # only when --budget is absent.
-        if "budget" in vars(args) and args.budget is None:
+        # Only the commands that search read the budget variable, only when
+        # --budget is absent, and `plan --family` only in _cmd_plan.
+        if "budget" in vars(args) and args.budget is None and not vars(args).get("family"):
             args.budget = _default_budget()
         return _HANDLERS[args.cmd](args)
     except SystemExit as exc:

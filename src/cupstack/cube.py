@@ -24,7 +24,8 @@ Fragments go out in batches, one `_emit` call per phase and level: a
 column of subcube labels per slot, a byte per fragment to pick its
 template.  Strided slice assignment copies a chunk's labels into 32-bit
 lanes; read as one big int they are masked to 0 at the target, or-ed with
-the cached offsets and appended to the plan's flat int array.
+the cached offsets (joined once per run of chunks with equal picks) and
+appended to the plan's flat int array.
 """
 
 from __future__ import annotations
@@ -176,7 +177,8 @@ def _emit(out: array, columns: Sequence[Sequence[int]], dims: Sequence[int],
     entry that is not the target to the same subcube.  Bases must leave
     the `dims` bits clear (so base | offset == base + offset) and every
     vertex must stay below 2^31 (d <= 20 keeps it below 2^20), so no lane
-    carries over."""
+    carries over.  A run of chunks with equal picks shares one pair of
+    joined keep and offset ints; only the last pair is kept."""
     if not picks:
         return out
     dims = tuple(dims)
@@ -186,15 +188,18 @@ def _emit(out: array, columns: Sequence[Sequence[int]], dims: Sequence[int],
     width = len(entries)
     owners = [(j, max(e) >> len(dims)) for j, e in enumerate(entries) if max(e) >= 0]
     order = sys.byteorder
+    last = None
     for lo in range(0, len(picks), _CHUNK):
         part = picks[lo:lo + _CHUNK]
+        if part != last:
+            last = part
+            keep = int.from_bytes(b"".join(map(keeps.__getitem__, part)), order)
+            offset = int.from_bytes(b"".join(map(offsets.__getitem__, part)), order)
         bases = [array(PLAN_TYPECODE, col[lo:lo + _CHUNK]) for col in columns]
         block = array(PLAN_TYPECODE, bytes(out.itemsize * width * len(part)))
         for j, i in owners:
             block[j::width] = bases[i]
-        x = (int.from_bytes(block, order)
-             & int.from_bytes(b"".join(map(keeps.__getitem__, part)), order)
-             | int.from_bytes(b"".join(map(offsets.__getitem__, part)), order))
+        x = int.from_bytes(block, order) & keep | offset
         out.frombytes(x.to_bytes(out.itemsize * len(block), order))
     return out
 
@@ -361,6 +366,7 @@ _HIGH = bytes(12) + b"\1" * 244
 _LOWER = bytes(range(12)) + bytes([_GONE]) * 244
 _UPPER = bytes(range(1, 13)) + bytes([_GONE]) * 244
 _BASE = b"\0\1\1\1\0\1\1\1\1" + bytes(247)      # levels 1-3 and 5-8
+_PLUS1 = bytes(range(1, 256)) + b"\0"            # one more bit set
 
 
 def _abc_loop(pool: bytearray, dims: Sequence[int], out: array) -> list[int]:
@@ -418,12 +424,15 @@ def plan_cube(d: int) -> CubePlanResult:
                 _emit(out, [(label,)], dims4, {0: _LEVEL3_4CUBE_FLAT}, b"\0")
                 phase("level3-4cube", start)
     else:
-        # levels[m] is the level of 4-cube m.  Chain triples start at d = 12,
-        # the first d with a level-9 3-cube.
+        # levels[m] is the level of 4-cube m, built by doubling: labels
+        # 2^j..2^(j+1)-1 are those below 2^j with bit j set.  Chain triples
+        # start at d = 12, the first d with a level-9 3-cube.
         n = d - 3
         dims4 = (d - 4, d - 3, d - 2, d - 1)
         dims3 = dims4[1:]
-        levels = bytes(map(int.bit_count, range(1 << (n - 1))))
+        levels = b"\0"
+        for _ in range(n - 1):
+            levels += levels.translate(_PLUS1)
         high = levels.translate(_HIGH)
         start = len(out)
         _emit(out, [array(PLAN_TYPECODE, compress(range(len(levels)), high))], dims4,

@@ -12,7 +12,6 @@ from array import array
 from collections import deque
 from collections.abc import Sequence
 from functools import cached_property
-from itertools import count
 from typing import Iterable, NamedTuple, Optional
 
 
@@ -458,9 +457,11 @@ class VerifyResult(NamedTuple):
 
 def verify_plan(board, plan: Plan, initial: Optional[Configuration] = None) -> VerifyResult:
     """Replay a plan move by move; accept iff every move is legal and the
-    final configuration has every cup on the target.  One loop serves
-    every board: it walks the flat move array in (src, dst) pairs and asks
-    the board for distances."""
+    final configuration has every cup on the target.  Two loops walk the
+    flat move array in (src, dst) pairs: a `CubeBoard` (that type, not a
+    subclass that may override `dist`) has its Hamming distance inline, as
+    a call per move is a third of a million-move replay; any other board
+    is asked through `board.dist`."""
     n = board.n
     config = initial if initial is not None else plan.initial
     # The all-ones start has plan.n cups: compare before building it, so
@@ -484,29 +485,48 @@ def verify_plan(board, plan: Plan, initial: Optional[Configuration] = None) -> V
         total = sum(counts)
     dist = board.dist
     # The moves are read as unsigned 32-bit ints, so a negative vertex
-    # reads as 2^31 or more and every vertex outside 0..n-1 raises
-    # IndexError (KeyError from a dict) when `counts` is indexed: no move
-    # pays a range test of its own.  Counts are never negative, so
-    # `pile and top` tests that both ends hold a cup, and dist is only
-    # asked about such moves.  A rejection's reason is built after the
-    # loop, from the failing move.
+    # reads as 2^31 or more (out of range whatever n) and every vertex
+    # outside 0..n-1 raises IndexError (KeyError from a dict) when
+    # `counts` is indexed: no move pays a range test of its own.  Counts
+    # are never negative, so `pile and top` tests that both ends hold a
+    # cup, and the distance is only taken for such moves.  A rejection's
+    # step and reason are built after the loop, from the failing move.
     with memoryview(plan.flat).cast("B").cast("I") as view:
         it = iter(view)
         try:
-            for i, src, dst in zip(count(), it, it):
-                pile = counts[src]
-                top = counts[dst]
-                if not (pile and top and dist(src, dst) == pile):
-                    break
-                counts[dst] = top + pile
-                counts[src] = 0
+            if type(board) is CubeBoard:
+                for src, dst in zip(it, it):
+                    pile = counts[src]
+                    top = counts[dst]
+                    if not (pile and top and (src ^ dst).bit_count() == pile):
+                        break
+                    counts[dst] = top + pile
+                    counts[src] = 0
+                else:
+                    src = None
             else:
-                i = None
+                for src, dst in zip(it, it):
+                    pile = counts[src]
+                    top = counts[dst]
+                    if not (pile and top and dist(src, dst) == pile):
+                        break
+                    counts[dst] = top + pile
+                    counts[src] = 0
+                else:
+                    src = None
         except (IndexError, KeyError):
-            if src < n and dst < n:     # raised by the board, not counts
+            if max(src, dst) < min(n, 1 << 31):     # the board's, not counts'
                 raise
+            pile = None
+    if src is not None:
+        # A legal move empties its source for good (a destination must hold
+        # a cup) and a rejected one changes nothing, so the failing move's
+        # index is the number of zero counts gained since the start.
+        i = operator.countOf(counts.values() if type(counts) is dict else counts, 0)
+        if config is not None:
+            i -= config.counts.count(0)
+        if pile is None:
             return VerifyResult(False, i, f"move {i}: vertex out of range")
-    if i is not None:
         if pile < 1:
             return VerifyResult(False, i, f"move {i}: source {src} empty")
         if top < 1:

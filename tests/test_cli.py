@@ -113,6 +113,18 @@ def test_bad_budget_variable_spares_commands_without_budget(capsys,
     assert code == 0 and captured.out.startswith("n 3") and captured.err == ""
 
 
+def test_bad_budget_variable_spares_family_planners(capsys, monkeypatch):
+    # A family with a planner never searches, so it never reads the
+    # variable; one without a planner is decided, and does.
+    monkeypatch.setenv("CUPSTACK_ORACLE_BUDGET", "abc")
+    for name, *params in (("path", "3"), ("cycle", "5"), ("grid", "3", "3"),
+                          ("cube", "3")):
+        code, data, err = run(capsys, "plan", "--family", name, "--params", *params)
+        assert code == 0 and data["moves"] and err == ""
+    code, _, err = run(capsys, "plan", "--family", "petersen", "-r", "0")
+    assert code == 2 and "CUPSTACK_ORACLE_BUDGET" in err
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_nonpositive_budget_is_usage_error(tmp_path, capsys, value):
     graph = gen(tmp_path, capsys, "path", 4)

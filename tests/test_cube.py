@@ -230,7 +230,9 @@ def test_emit_matches_table_lookup_reference():
     # below them plus the all-ones label, so vertices reach 2^20 - 1.
     # Batches hold one template each, or mix the 3-cube levels 1-3 and
     # 5-8 or the 4-cube levels 12-16 as plan_cube does, and their sizes
-    # straddle one chunk.
+    # straddle one chunk.  The batch of three chunks repeats its first
+    # chunk's picks in the second, whose lanes `_emit` reuses, and picks
+    # afresh in the third, which a mixed batch then draws differently.
     rng = random.Random(20261020)
     groups = [(k, {0: template}) for k, template in emit_templates()]
     groups += [(3, {l: _solve(3, l) for l in (1, 2, 3, 5, 6, 7, 8)}),
@@ -239,8 +241,13 @@ def test_emit_matches_table_lookup_reference():
         dims = tuple(range(20 - k, 20))
         cubes = max(max(t, default=-1) for t in templates.values()) // (1 << k) + 1
         top = (1 << (20 - k)) - 1
-        for count in (0, 1, cube._CHUNK - 1, cube._CHUNK, cube._CHUNK + 1):
+        for count in (0, 1, cube._CHUNK - 1, cube._CHUNK, cube._CHUNK + 1,
+                      3 * cube._CHUNK):
             picks = bytes(rng.choice(list(templates)) for _ in range(count))
+            if count == 3 * cube._CHUNK:
+                first, third = picks[:cube._CHUNK], picks[2 * cube._CHUNK:]
+                picks = first * 2 + third
+                assert len(templates) == 1 or third != first
             columns = [array(PLAN_TYPECODE, [top if f == 0 else rng.randrange(top + 1)
                                              for f in range(count)])
                        for _ in range(cubes)]

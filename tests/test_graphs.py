@@ -507,6 +507,85 @@ def test_verify_rejects_out_of_range_vertex():
         assert not res and res.step is None and "target" in res.reason
 
 
+def _first_bad_move(board, flat, start: Configuration):
+    """Index of the first move that leaves 0..n-1 or breaks the move rule,
+    replaying one move at a time, or None: the reference for the step
+    that `verify_plan` works out from its zero counts."""
+    for i in range(len(flat) // 2):
+        mv = Move(flat[2 * i], flat[2 * i + 1])
+        if not (0 <= min(mv) and max(mv) < board.n and legal_move(board, start, mv)):
+            return i
+        start = apply_move(start, mv)
+    return None
+
+
+def _cube_spoils(flat: list[int], n: int) -> list[list[int]]:
+    """A hypercube plan spoilt at its middle move k: endpoints swapped,
+    each end moved out of range, onto the source of move 0 (emptied
+    earlier) or onto its own source, and the last move dropped."""
+    k = len(flat) // 4
+    s, t = 2 * k, 2 * k + 1
+    out = [flat[:s] + [flat[t], flat[s]] + flat[t + 1:], flat[:-2]]
+    for at in (s, t):
+        for bad in (n, 2 ** 31 - 1, -1, flat[0]):
+            out.append(flat[:at] + [bad] + flat[at + 1:])
+    out.append(flat[:t] + [flat[s]] + flat[t + 1:])
+    return out
+
+
+def test_cube_replay_matches_the_generic_loop():
+    # CubeBoard's replay tests the Hamming distance inline; the same cube
+    # as a Graph goes through the loop that asks board.dist.  Both must
+    # give the same (ok, step, reason) for every spoilt plan, from the
+    # all-ones start and from a start whose zeros the step must discount.
+    reasons = set()
+    for d in range(1, 9):
+        cube, graph = CubeBoard(d), CubeBoard(d).to_graph()
+        plan = plan_cube(d).plan
+        flat = list(plan.flat)
+        zeros = {flat[-2], plan.n - 1}
+        holed = Configuration(tuple(0 if v in zeros else 1 for v in range(plan.n)))
+        for spoilt in _cube_spoils(flat, plan.n):
+            for start in (Configuration.all_ones(plan.n), holed):
+                p = Plan(plan.n, plan.target, spoilt)
+                res = verify_plan(cube, p, start)
+                assert res == verify_plan(graph, p, start)
+                assert res.step == _first_bad_move(cube, spoilt, start)
+                reasons.add(re.sub(r"[-\d]+", "#", res.reason or "accepted"))
+    assert reasons == {"move #: vertex out of range", "move #: source # empty",
+                       "move #: destination # empty", "move #: pile # at # but dist(#,#)=#",
+                       "final configuration not concentrated on target", "accepted"}
+
+
+def test_cube_replay_on_the_dict_store():
+    # Q^40 is too big for a list of counts: a short plan is replayed on a
+    # dict of the vertices it names.  A subclass takes the generic loop,
+    # and one that overrides dist is asked for every distance.  Vertex -1
+    # reads as 2^32 - 1, which is below 2^40 but is still out of range.
+    class Same(CubeBoard):
+        pass
+
+    class Near(CubeBoard):
+        def dist(self, u, v):
+            return 1
+
+    n = 1 << 40
+    for moves, want in (
+            ([1, 0], (False, None, "final configuration not concentrated on target")),
+            ([3, 1, 1, 0], (False, 1, "move 1: pile 2 at 1 but dist(1,0)=1")),
+            ([1, 0, 2 ** 31 - 1, 0], (False, 1, "move 1: pile 1 at 2147483647 "
+                                             "but dist(2147483647,0)=31")),
+            ([1, 0, 1, 2], (False, 1, "move 1: source 1 empty")),
+            ([1, 0, 2, 1], (False, 1, "move 1: destination 1 empty")),
+            ([1, 0, -1, 0], (False, 1, "move 1: vertex out of range")),
+            ([1, 0, 0, -2 ** 31], (False, 1, "move 1: vertex out of range"))):
+        for board in (CubeBoard(40), Same(40)):
+            assert verify_plan(board, Plan(n, 0, moves)) == want
+    assert verify_plan(Near(2), Plan(4, 0, [1, 0, 2, 0, 3, 0]))
+    assert verify_plan(CubeBoard(2), Plan(4, 0, [1, 0, 2, 0, 3, 0])) == (
+        False, 2, "move 2: pile 1 at 3 but dist(3,0)=2")
+
+
 def test_verify_leaves_plan_array_resizable():
     # The replay reads the flat array through a buffer view; once it
     # returns or raises, the array can grow again.
