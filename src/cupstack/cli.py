@@ -4,10 +4,12 @@ Exit codes: 0 = yes/accept, 1 = no/reject, 2 = usage or I/O error,
 3 = inconclusive (search budget exhausted), 4 = internal error (a fault
 in cupstack itself; the traceback goes to stderr).
 
-Only `graphs` loads with this module; each handler imports the other
-layers it calls, so a process loads only its command's layers: `oracle`
-only for `oracle` and for `decide` and `plan` on a target of
-eccentricity 3 or more, `cube` only for `cube`, `scd`, `gray` and
+`decide` and `plan` (on a graph file, or a family without a planner)
+answer through `cupstack.decide`; `oracle` forces the exhaustive search
+on any start.  Only `graphs` loads with this module; each handler, and
+`decide`, imports the other layers it calls, so a process loads only its
+command's layers: `oracle` only for `oracle` and for a decision on a
+target of eccentricity 3 or more, `cube` only for `cube` and
 `plan --family cube`.
 """
 
@@ -15,12 +17,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Optional
 
-from . import graphs
+from . import decide, graphs
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -29,10 +30,6 @@ EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
 
 BUDGET_ENV = "CUPSTACK_ORACLE_BUDGET"
-
-# Fixed output limits: `scd` and `gray` build their whole answer in memory.
-SCD_MAX_N = 20                  # 2**20 subsets
-GRAY_MAX_SUBSETS = 10**6
 
 
 def _positive_int(text: str) -> int:
@@ -105,30 +102,6 @@ def _cmd_gen(args) -> int:
     return EXIT_YES
 
 
-def _oracle_search(g: graphs.Graph, initial: graphs.Configuration, r: int,
-                   budget: Optional[int]):
-    from . import oracle
-    return oracle.oracle_search(
-        g, initial, r, oracle.DEFAULT_BUDGET if budget is None else budget)
-
-
-def _solve(g: graphs.Graph, r: int, budget: Optional[int]):
-    """The one decision path: a target of eccentricity at most 2 goes to
-    the matching test (a dominating target needs the empty matching),
-    any other to the exhaustive search.  Returns (method, stackable,
-    plan, barrier); stackable is None when the search budget ran out."""
-    if not 0 <= r < g.n:
-        raise ValueError(f"target {r} out of range")
-    if graphs.eccentricity(g, r) <= 2:
-        from . import ecc2
-        w = ecc2.ecc2_decide(g, r)
-        if not w.decision:
-            return "ecc2", False, None, w.barrier
-        return "ecc2", True, ecc2.plan_from_matching(g, r, w.matching), None
-    res = _oracle_search(g, graphs.Configuration.all_ones(g.n), r, budget)
-    return "oracle", res.decision, res.plan, None
-
-
 def _exit_code(stackable) -> int:
     if stackable is None:
         return EXIT_INCONCLUSIVE
@@ -136,24 +109,25 @@ def _exit_code(stackable) -> int:
 
 
 def _cmd_decide(args) -> int:
-    method, stackable, _, barrier = _solve(_load_graph(args.graph),
-                                           args.target, args.budget)
-    out = {"target": args.target, "method": method, "stackable": stackable}
-    if barrier is not None:
-        out["barrier"] = list(barrier)
-    if stackable is None:
+    d = decide(_load_graph(args.graph), args.target, args.budget)
+    out = {"target": d.target, "method": d.method, "stackable": d.stackable}
+    if d.certificate is not None:
+        out["barrier"] = list(d.certificate)
+    if d.stackable is None:
         out["inconclusive"] = "budget exhausted"
     _emit(out, args.pretty)
-    return _exit_code(stackable)
+    return _exit_code(d.stackable)
 
 
 def _cmd_plan(args) -> int:
     """A family with a planner uses it (target 0 unless -r says
     otherwise); any other family is generated and planned like a graph
     file."""
+    if (args.graph is None) == (args.family is None):
+        raise ValueError("plan needs exactly one of -g and --family")
     r = args.target
     g = None
-    if args.family:
+    if args.family is not None:
         from . import families
         fam = families.family(args.family, args.params)
         r = 0 if r is None else r
@@ -166,15 +140,14 @@ def _cmd_plan(args) -> int:
                 _emit({"family": args.family, "params": list(args.params),
                        "plan": None, "complete": False}, args.pretty)
                 return EXIT_NO
-    elif args.graph:
-        g = _load_graph(args.graph)
     else:
-        raise ValueError("plan needs either -g or --family")
+        g = _load_graph(args.graph)
     if g is not None:
         if r is None:
             raise ValueError("plan needs a -r target")
-        _, stackable, plan, _ = _solve(g, r, args.budget)
-        if stackable is None:
+        d = decide(g, r, args.budget)
+        plan = d.plan
+        if d.stackable is None:
             _emit({"target": r, "plan": None,
                    "inconclusive": "budget exhausted"}, args.pretty)
             return EXIT_INCONCLUSIVE
@@ -218,7 +191,8 @@ def _cmd_oracle(args) -> int:
             if not graphs._is_ascii_int(field):
                 raise ValueError(f"--config field {i + 1} is not a count: {field!r}")
         initial = graphs.Configuration(tuple(map(int, fields)))
-    res = _oracle_search(g, initial, r, args.budget)
+    from . import oracle
+    res = oracle.oracle_search(g, initial, r, args.budget or oracle.DEFAULT_BUDGET)
     out = {"target": r, "states": res.states, "pruned": res.pruned,
            "rejected_by": res.rejected_by, "stackable": res.decision}
     if res.inconclusive:
@@ -231,33 +205,6 @@ def _cmd_oracle(args) -> int:
 
 def _mask_to_sorted(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _cmd_scd(args) -> int:
-    if args.n > SCD_MAX_N:
-        raise ValueError(f"scd -n {args.n} is above the limit of {SCD_MAX_N}")
-    from . import cube
-    chains = cube.scd(args.n)
-    _emit({"n": args.n,
-           "chains": [[_mask_to_sorted(m) for m in ch] for ch in chains]},
-          args.pretty)
-    return EXIT_YES
-
-
-def _cmd_gray(args) -> int:
-    m, k = args.m, args.k
-    # comb(m, j) grows with j up to m/2 and comb(24, 12) is above the
-    # limit, so capping j at 12 decides it without a huge comb(m, k).
-    if 0 <= k <= m and math.comb(m, min(k, m - k, 12)) > GRAY_MAX_SUBSETS:
-        raise ValueError(f"gray -m {m} -k {k} lists more subsets than "
-                         f"the limit of {GRAY_MAX_SUBSETS}")
-    from . import cube
-    seq = cube.revolving_door(m, k)
-    if len(seq) < 3:
-        raise ValueError("parameters too small for a genuine cycle")
-    _emit({"m": m, "k": k,
-           "cycle": [sorted(c) for c in seq]}, args.pretty)
-    return EXIT_YES
 
 
 def _cmd_cube(args) -> int:
@@ -329,15 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="comma-separated initial cup counts")
     p.add_argument("--plan", action="store_true", help="include the moves")
 
-    p = sub.add_parser("scd", help="symmetric chain decomposition dump")
-    p.add_argument("-n", type=int, required=True)
-    common(p, graph=False)
-
-    p = sub.add_parser("gray", help="revolving-door subset cycle dump")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    common(p, graph=False)
-
     p = sub.add_parser("cube", help="hypercube stacking plan")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--verify", action="store_true")
@@ -349,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _HANDLERS = {
     "gen": _cmd_gen, "decide": _cmd_decide, "plan": _cmd_plan,
-    "verify": _cmd_verify, "oracle": _cmd_oracle,
-    "scd": _cmd_scd, "gray": _cmd_gray, "cube": _cmd_cube,
+    "verify": _cmd_verify, "oracle": _cmd_oracle, "cube": _cmd_cube,
 }
 
 

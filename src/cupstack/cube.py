@@ -88,40 +88,6 @@ def _phi_pair(mask: int) -> tuple[Optional[int], Optional[int]]:
     return b, (b & ~(1 << below) if below >= 0 else None)
 
 
-def scd(n: int) -> list[list[int]]:
-    """Symmetric chain decomposition of the subsets of an n-element set,
-    as lists of bitmasks in ascending order, in order of their bottoms.
-    The chains are grown by `phi`: a set's predecessor is smaller than
-    it, so in numeric order each set extends the chain that ends there."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    chains = []
-    top: dict[int, list[int]] = {}          # each chain by its last set
-    for mask in range(1 << n):
-        pred = _phi_pair(mask)[0]
-        if pred is None:                     # a chain bottom
-            chain = [mask]
-            chains.append(chain)
-        else:
-            chain = top.pop(pred)
-            chain.append(mask)
-        top[mask] = chain
-    return chains
-
-
-def phi(n: int, mask: int) -> int:
-    """Chain predecessor in the symmetric chain decomposition of the
-    subsets of an n-element set: drop the last unmatched one
-    (Greene-Kleitman bracket rule).  Every set but a chain bottom has
-    one."""
-    if mask >> n:
-        raise ValueError(f"mask {mask} is not a subset of {n} elements")
-    pred = _phi_pair(mask)[0]
-    if pred is None:
-        raise ValueError("a chain bottom has no predecessor")
-    return pred
-
-
 def revolving_door(m: int, k: int) -> list[tuple[int, ...]]:
     """All k-subsets of {1..m} in revolving-door order: cyclically
     consecutive subsets exchange exactly one element."""

@@ -78,10 +78,3 @@ def plan_from_matching(g: Graph, r: int, m: Matching) -> Plan:
             raise ValueError(f"vertex {z} in N_2({r}) is not matched")
         moves += (z, r)
     return Plan(g.n, r, moves)
-
-
-def ecc2_plan(g: Graph, r: int) -> Optional[Plan]:
-    w = ecc2_decide(g, r)
-    if not w.decision:
-        return None
-    return plan_from_matching(g, r, w.matching)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import accumulate, combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .graphs import CubeBoard, Graph, Plan, eccentricity
+from .graphs import CubeBoard, Graph, Plan
 
 
 class FamilyError(ValueError):
@@ -183,62 +183,6 @@ def plan_spider(legs: Sequence[int]) -> Plan:
     ends = list(accumulate(legs, initial=0))   # leg i is ends[i]+1..ends[i+1]
     parts = [(range(hi, lo, -1), 0) for lo, hi in zip(ends, ends[1:])]
     return Plan(g.n, 0, _stack_lines(parts, 0))
-
-
-def multipartite_decide(sizes: Sequence[int], i: int) -> tuple[bool, Optional[Plan]]:
-    """Closed-form decision for a complete multipartite target: part i is
-    stackable iff its size is at most (n+1)/2.  A plan is produced when
-    the decision is positive."""
-    from .ecc2 import ecc2_plan
-    if not 0 <= i < len(sizes):
-        raise FamilyError("part index out of range")
-    n = sum(sizes)
-    decision = 2 * sizes[i] <= n + 1
-    if not decision:
-        return False, None
-    plan = ecc2_plan(multipartite_graph(sizes), sum(sizes[:i]))
-    if plan is None:
-        raise AssertionError("closed form and matching decision disagree")
-    return True, plan
-
-
-def plan_ham_ecc2(g: Graph, r: int, hampath: Sequence[int]) -> Plan:
-    """Plan for an eccentricity-2 target from a Hamiltonian path: match
-    consecutive vertices along the two half-paths on either side of r,
-    leaving only neighbors of r unmatched."""
-    from .ecc2 import plan_from_matching
-    from .matching import Matching
-    if sorted(hampath) != list(range(g.n)):
-        raise FamilyError("sequence is not a permutation of the vertices")
-    for a, b in zip(hampath, hampath[1:]):
-        if b not in g.adj[a]:
-            raise FamilyError(f"consecutive vertices {a},{b} are not adjacent")
-    if eccentricity(g, r) != 2:
-        raise FamilyError(f"target {r} does not have eccentricity 2")
-    pos = hampath.index(r)
-    pairs: list[tuple[int, int]] = []
-    for piece in (list(reversed(hampath[:pos])), list(hampath[pos + 1:])):
-        # piece[0] is adjacent to r; drop it when the piece has odd size.
-        start = 1 if len(piece) % 2 else 0
-        for idx in range(start, len(piece) - 1, 2):
-            pairs.append((piece[idx], piece[idx + 1]))
-    return plan_from_matching(g, r, Matching.of(pairs))
-
-
-def kneser_stackable(m: int, k: int) -> tuple[Optional[bool], Optional[Graph]]:
-    """Decide stackability of the Kneser graph K(m, k).  Proven range:
-    m >= 3k-1 >= 5 plus (5, 2).  In the unresolved band 2k+1 <= m <= 3k-2
-    the answer is reported as unknown rather than guessed."""
-    from .ecc2 import ecc2_decide
-    if k < 1 or m < 2 * k + 1:
-        raise FamilyError("kneser graph needs m >= 2k+1")
-    if not ((m >= 3 * k - 1 and 3 * k - 1 >= 5) or (m, k) == (5, 2)):
-        return None, None
-    g = kneser_graph(m, k)
-    # Vertex transitive, so one target decides all of them; ecc2_decide
-    # raises ValueError if it has eccentricity above 2.
-    w = ecc2_decide(g, 0)
-    return w.decision, g
 
 
 def plan_grid(m: int, k: int, r: tuple[int, int]) -> Plan:

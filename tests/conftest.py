@@ -1,15 +1,22 @@
-"""Shared test helpers: graph corpora and brute-force reference algorithms."""
+"""Shared test helpers: graph corpora, brute-force reference algorithms,
+and the paper's closed forms that only tests use, each checked against
+the library's own decision or chain walk."""
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+from typing import Optional, Sequence
 
 import networkx as nx
 import pytest
 
-from cupstack.graphs import Configuration, Graph, Move
-from cupstack.matching import augment, blossom_search
+from cupstack import decide
+from cupstack.cube import _phi_pair
+from cupstack.ecc2 import plan_from_matching
+from cupstack.families import FamilyError, kneser_graph, multipartite_graph
+from cupstack.graphs import Configuration, Graph, Move, Plan, eccentricity
+from cupstack.matching import Matching, augment, blossom_search
 from cupstack.oracle import oracle_search
 
 
@@ -132,6 +139,93 @@ def floyd_warshall(g: Graph):
                 if dik + rowk[j] < row[j]:
                     row[j] = dik + rowk[j]
     return dist
+
+
+# --------------------------------------------- symmetric chain decomposition
+
+def scd(n: int) -> list[list[int]]:
+    """Symmetric chain decomposition of the subsets of an n-element set,
+    as lists of bitmasks in ascending order, in order of their bottoms.
+    The chains are grown by `phi`: a set's predecessor is smaller than
+    it, so in numeric order each set extends the chain that ends there."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    chains = []
+    top: dict[int, list[int]] = {}          # each chain by its last set
+    for mask in range(1 << n):
+        pred = _phi_pair(mask)[0]
+        if pred is None:                     # a chain bottom
+            chain = [mask]
+            chains.append(chain)
+        else:
+            chain = top.pop(pred)
+            chain.append(mask)
+        top[mask] = chain
+    return chains
+
+
+def phi(n: int, mask: int) -> int:
+    """Chain predecessor in the symmetric chain decomposition of the
+    subsets of an n-element set: drop the last unmatched one
+    (Greene-Kleitman bracket rule).  Every set but a chain bottom has
+    one."""
+    if mask >> n:
+        raise ValueError(f"mask {mask} is not a subset of {n} elements")
+    pred = _phi_pair(mask)[0]
+    if pred is None:
+        raise ValueError("a chain bottom has no predecessor")
+    return pred
+
+
+# ------------------------------------------------- the paper's closed forms
+
+def multipartite_decide(sizes: Sequence[int], i: int) -> tuple[bool, Optional[Plan]]:
+    """Closed-form decision for a complete multipartite target: part i is
+    stackable iff its size is at most (n+1)/2.  Asserts that `decide`
+    agrees on the part's first vertex, and returns its plan."""
+    if not 0 <= i < len(sizes):
+        raise FamilyError("part index out of range")
+    decision = 2 * sizes[i] <= sum(sizes) + 1
+    d = decide(multipartite_graph(sizes), sum(sizes[:i]))
+    assert d.stackable == decision, "closed form and decide disagree"
+    return decision, d.plan
+
+
+def plan_ham_ecc2(g: Graph, r: int, hampath: Sequence[int]) -> Plan:
+    """Plan for an eccentricity-2 target from a Hamiltonian path: match
+    consecutive vertices along the two half-paths on either side of r,
+    leaving only neighbors of r unmatched."""
+    if sorted(hampath) != list(range(g.n)):
+        raise FamilyError("sequence is not a permutation of the vertices")
+    for a, b in zip(hampath, hampath[1:]):
+        if b not in g.adj[a]:
+            raise FamilyError(f"consecutive vertices {a},{b} are not adjacent")
+    if eccentricity(g, r) != 2:
+        raise FamilyError(f"target {r} does not have eccentricity 2")
+    pos = hampath.index(r)
+    pairs: list[tuple[int, int]] = []
+    for piece in (list(reversed(hampath[:pos])), list(hampath[pos + 1:])):
+        # piece[0] is adjacent to r; drop it when the piece has odd size.
+        start = 1 if len(piece) % 2 else 0
+        for idx in range(start, len(piece) - 1, 2):
+            pairs.append((piece[idx], piece[idx + 1]))
+    return plan_from_matching(g, r, Matching.of(pairs))
+
+
+def kneser_stackable(m: int, k: int) -> tuple[Optional[bool], Optional[Graph]]:
+    """Decide stackability of the Kneser graph K(m, k).  Proven range:
+    m >= 3k-1 >= 5 plus (5, 2).  In the unresolved band 2k+1 <= m <= 3k-2
+    the answer is reported as unknown rather than guessed."""
+    if k < 1 or m < 2 * k + 1:
+        raise FamilyError("kneser graph needs m >= 2k+1")
+    if not ((m >= 3 * k - 1 and 3 * k - 1 >= 5) or (m, k) == (5, 2)):
+        return None, None
+    g = kneser_graph(m, k)
+    # Vertex transitive, so one target decides all of them; in the proven
+    # range it has eccentricity 2, so the matching test decides it.
+    d = decide(g, 0)
+    assert d.method == "ecc2", f"K({m},{k}) has a target of eccentricity above 2"
+    return d.stackable, g
 
 
 @pytest.fixture(scope="session")

@@ -10,18 +10,19 @@ from math import comb
 
 import pytest
 
-from conftest import (apply_move, brute_force_matching_number, legal_move,
-                      max_matching_size, oracle_stackable, random_bare_graph,
-                      random_connected_graph)
+from conftest import (apply_move, brute_force_matching_number,
+                      kneser_stackable, legal_move, max_matching_size,
+                      multipartite_decide, oracle_stackable, phi,
+                      random_bare_graph, random_connected_graph, scd)
+from cupstack import decide
 from cupstack.graphs import (Configuration, CubeBoard, Graph, Move, Plan,
                              shells, verify_barrier, verify_plan)
-from cupstack.ecc2 import ecc2_decide, plan_from_matching
-from cupstack.families import (cycle_graph, grid_graph, kneser_stackable,
-                               multipartite_decide, path_graph, plan_cycle,
+from cupstack.ecc2 import ecc2_decide
+from cupstack.families import (cycle_graph, grid_graph, path_graph, plan_cycle,
                                plan_grid, plan_path, plan_spider, spider_graph,
                                star_graph)
 from cupstack.oracle import oracle_search
-from cupstack.cube import phi, plan_cube, revolving_door, scd
+from cupstack.cube import plan_cube, revolving_door
 
 
 def report(line: str) -> None:
@@ -41,14 +42,15 @@ def compositions(total: int, parts: int):
 
 
 def test_acceptance_1_oracle_matching_equivalence(atlas7):
-    """ecc2 decision equals the exhaustive oracle on every connected graph
-    with at most 7 vertices, for every target of eccentricity at most 2
-    (dominating targets included); every positive decision yields a plan
-    the verifier accepts, and every negative one carries a barrier that
-    verify_barrier accepts."""
+    """`decide` takes the matching path for every target of eccentricity
+    at most 2 (dominating targets included) of every connected graph with
+    at most 7 vertices, and its verdict equals the exhaustive oracle's;
+    every positive decision yields a plan the verifier accepts, and every
+    negative one carries a barrier that verify_barrier accepts."""
     t0 = time.time()
     targets = {1: 0, 2: 0}
     mismatches = 0
+    other_method = 0
     noes = 0
     bad_plans = 0
     bad_barriers = 0
@@ -59,24 +61,25 @@ def test_acceptance_1_oracle_matching_equivalence(atlas7):
             if ecc > 2:
                 continue
             targets[max(ecc, 1)] += 1
-            w = ecc2_decide(g, r)
-            if w.decision != oracle_search(g, ones, r).decision:
+            d = decide(g, r)
+            other_method += d.method != "ecc2"
+            if d.stackable != oracle_search(g, ones, r).decision:
                 mismatches += 1
-            if w.decision:
-                bad_plans += not verify_plan(
-                    g, plan_from_matching(g, r, w.matching))
+            if d.stackable:
+                bad_plans += not verify_plan(g, d.plan)
             else:
                 noes += 1
-                bad_barriers += not verify_barrier(g, r, w.barrier)
+                bad_barriers += not verify_barrier(g, r, d.certificate)
     elapsed = time.time() - t0
-    ok = (mismatches == 0 and bad_plans == 0 and bad_barriers == 0
-          and elapsed < 300)
+    ok = (mismatches == 0 and other_method == 0 and bad_plans == 0
+          and bad_barriers == 0 and elapsed < 300)
     report(f"ACCEPTANCE 1 oracle-matching equivalence: "
            f"{'PASS' if ok else 'FAIL'} — {mismatches} mismatches over "
            f"{targets[2]} ecc-2 and {targets[1]} dominating targets on "
            f"{len(atlas7)} graphs, {bad_plans} YES plans and "
            f"{bad_barriers}/{noes} NO barriers rejected ({elapsed:.1f}s)")
     assert mismatches == 0 and targets[2] > 3000 and targets[1] > 250
+    assert other_method == 0
     assert bad_plans == 0 and bad_barriers == 0 and noes > 0
     assert elapsed < 300
 

@@ -163,6 +163,15 @@ def test_verify_rejects_wrong_plan(tmp_path, capsys):
     assert code == 1 and data["accepted"] is False and data["step"] == 1
 
 
+def test_plan_refuses_graph_and_family_together(capsys):
+    code, data, err = run(capsys, "plan", "--family", "path", "--params", "3",
+                          "-g", str(FIXTURES / "k4.graph"), "-r", "0")
+    assert (code, data) == (2, None)
+    assert err == "error: plan needs exactly one of -g and --family\n"
+    code, data, err = run(capsys, "plan", "-r", "0")
+    assert code == 2 and data is None and "exactly one of" in err
+
+
 def test_verify_refuses_graph_and_cube_together(capsys):
     code, data, err = run(capsys, "verify", "-g", str(FIXTURES / "p4.graph"),
                           "--cube", "2", "-p", str(FIXTURES / "p4.plan.json"))
@@ -236,33 +245,6 @@ def test_disconnected_file_names_its_n_line(tmp_path, capsys):
     code, data, err = run(capsys, "decide", "-g", str(path), "-r", "0")
     assert (code, data, err) == (2, None,
                                  "error: line 1: graph is disconnected\n")
-
-
-def test_scd_output(capsys):
-    code, data, _ = run(capsys, "scd", "-n", "2")
-    assert code == 0
-    assert sorted(data["chains"]) == [[[], [1], [1, 2]], [[2]]]
-
-
-def test_gray_output(capsys):
-    code, data, _ = run(capsys, "gray", "-m", "5", "-k", "4")
-    assert code == 0 and len(data["cycle"]) == 5
-
-
-def test_gray_long_input(capsys):
-    code, data, _ = run(capsys, "gray", "-m", "1100", "-k", "1")
-    assert code == 0 and data["cycle"] == [[i] for i in range(1, 1101)]
-
-
-@pytest.mark.parametrize("argv", [
-    ("scd", "-n", "21"),                        # 2**21 subsets
-    ("gray", "-m", "1000001", "-k", "1"),       # 1,000,001 subsets
-    ("gray", "-m", "1000001", "-k", "1000000"),
-    ("gray", "-m", "23", "-k", "11"),           # 1,352,078 subsets
-])
-def test_scd_and_gray_refuse_sizes_above_their_limits(capsys, argv):
-    code, data, err = run(capsys, *argv)
-    assert code == 2 and data is None and "the limit of" in err
 
 
 def test_cube_plan_and_verify(tmp_path, capsys):
@@ -491,6 +473,8 @@ def bare_interpreter_loads_dataclasses() -> bool:
     (("verify", "-g", str(FIXTURES / "grid9x8.graph"),
       "-p", str(FIXTURES / "grid9x8.plan.json")),
      {"graphs"}, {"cube", "ecc2", "matching", "families", "oracle"}),
+    (("decide", "-g", str(FIXTURES / "p4.graph"), "-r", "0"),
+     {"oracle"}, {"ecc2", "matching", "families", "cube"}),
 ])
 def test_command_loads_only_its_layers(tmp_path, argv, own, foreign):
     layers = loaded_layers(tmp_path, *argv)

@@ -10,12 +10,13 @@ from itertools import combinations
 
 import pytest
 
+from conftest import phi, scd
 from cupstack import cube
 from cupstack.graphs import PLAN_TYPECODE, Configuration, CubeBoard, Plan, verify_plan
 from cupstack.oracle import oracle_search
 from cupstack.cube import (CubeError, _abc_flat, _emit, _LEVEL3_4CUBE_FLAT, _offsets,
-                           _PAIR_FLAT, _solve, _TRIPLE_FLAT, phi, plan_cube,
-                           plan_level4_3cubes, revolving_door, scd)
+                           _PAIR_FLAT, _solve, _TRIPLE_FLAT, plan_cube,
+                           plan_level4_3cubes, revolving_door)
 
 
 # ------------------------------------------------------------ chain machinery
@@ -177,6 +178,8 @@ def test_revolving_door_general_adjacency():
             assert len(order) == len(set(order))
             for a, b in zip(order, order[1:] + order[:1]):
                 assert len(set(a) & set(b)) == k - 1
+    # Built bottom-up, so any m works.
+    assert revolving_door(1100, 1) == [(i,) for i in range(1, 1101)]
 
 
 # ---------------------------------------------------------- fragment replay

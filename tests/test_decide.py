@@ -1,0 +1,87 @@
+"""The one decision entry point, `cupstack.decide`, and the rule that no
+other code in the package chooses between the matching test and the
+exhaustive search."""
+
+import ast
+import pathlib
+
+import pytest
+
+from cupstack import Decision, decide
+from cupstack.families import (complete_graph, grid_graph, path_graph,
+                               petersen_graph, star_graph)
+from cupstack.graphs import (Configuration, Graph, Plan, eccentricity,
+                             verify_barrier, verify_plan)
+from cupstack.oracle import oracle_search
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cupstack"
+
+# An atlas tree (a spider with legs 1, 1, 1, 2 around vertex 1) whose leaf
+# 0 has eccentricity 3 and is not stackable.
+SPIDER_NO = Graph(6, [(0, 1), (1, 2), (1, 4), (1, 5), (2, 3)])
+
+
+@pytest.mark.parametrize("g, r, budget, expected", [
+    # Petersen: the matching test, pairs over distance 2 then singles.
+    (petersen_graph(), 0, None,
+     Decision(0, "ecc2", True, Plan(10, 0, [1, 6, 6, 0, 2, 4, 4, 0, 3, 5, 5, 0,
+                                            7, 0, 8, 0, 9, 0]), None)),
+    # A star leaf: the centre alone is a barrier.
+    (star_graph(3), 1, None, Decision(1, "ecc2", False, None, (0,))),
+    # A dominating target needs the empty matching.
+    (complete_graph(4), 0, None,
+     Decision(0, "ecc2", True, Plan(4, 0, [1, 0, 2, 0, 3, 0]), None)),
+    # Eccentricity 3: the exhaustive search.
+    (path_graph(4), 0, None,
+     Decision(0, "oracle", True, Plan(4, 0, [1, 0, 3, 2, 2, 0]), None)),
+    (SPIDER_NO, 0, None, Decision(0, "oracle", False, None, None)),
+    # A search out of budget is neither YES nor NO.
+    (grid_graph(4, 3), 0, 5, Decision(0, "oracle", None, None, None)),
+])
+def test_decision_pinned(g, r, budget, expected):
+    d = decide(g, r, budget)
+    assert d == expected
+    if d.plan is not None:
+        assert verify_plan(g, d.plan)
+    if d.certificate is not None:
+        assert verify_barrier(g, r, d.certificate)
+    if d.method == "oracle":
+        assert eccentricity(g, r) >= 3
+        if d.stackable is not None:
+            ones = Configuration.all_ones(g.n)
+            assert oracle_search(g, ones, r).decision == d.stackable
+
+
+@pytest.mark.parametrize("r", [-1, 4, 10])
+def test_decide_refuses_target_out_of_range(r):
+    with pytest.raises(ValueError, match="out of range"):
+        decide(path_graph(4), r)
+
+
+def calls_by_function(path: pathlib.Path, names: set[str]) -> set[str]:
+    """The functions of a module (its qualified name, or "<module>") that
+    call a function named in `names`, as a bare name or an attribute."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = node.name if where == "<module>" else f"{where}.{node.name}"
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in names:
+                found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    return found
+
+
+def test_only_decide_chooses_the_method():
+    callers = {"ecc2_decide": set(), "oracle_search": set()}
+    for path in sorted(SRC.glob("*.py")):
+        for name, where in callers.items():
+            where.update(f"{path.stem}.{f}" for f in calls_by_function(path, {name}))
+    assert callers == {"ecc2_decide": {"__init__.decide"},
+                       "oracle_search": {"__init__.decide", "cli._cmd_oracle"}}

@@ -6,9 +6,10 @@ import random
 import pytest
 
 from conftest import random_connected_graph
+from cupstack import decide
 from cupstack.graphs import (Configuration, Graph, shells, verify_barrier,
                              verify_plan)
-from cupstack.ecc2 import ecc2_decide, ecc2_plan, plan_from_matching
+from cupstack.ecc2 import ecc2_decide, plan_from_matching
 from cupstack.families import (complete_graph, cycle_graph, multipartite_graph,
                                petersen_graph, star_graph)
 from cupstack.matching import Matching
@@ -39,9 +40,8 @@ def test_k33_true():
 
 
 def test_rejects_eccentricity_above_two():
-    for ecc2_call in (ecc2_decide, ecc2_plan):
-        with pytest.raises(ValueError, match="above 2"):
-            ecc2_call(cycle_graph(7), 0)
+    with pytest.raises(ValueError, match="above 2"):
+        ecc2_decide(cycle_graph(7), 0)
     with pytest.raises(ValueError, match="above 2"):
         plan_from_matching(cycle_graph(7), 0, Matching.of([]))
 
@@ -76,7 +76,7 @@ def test_plan_from_matching_rejects_unsaturated():
 def test_petersen_plan_accepted():
     g = petersen_graph()
     for r in range(g.n):
-        plan = ecc2_plan(g, r)
+        plan = decide(g, r).plan
         assert plan is not None and verify_plan(g, plan)
 
 

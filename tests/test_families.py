@@ -6,15 +6,14 @@ from itertools import combinations
 
 import pytest
 
-from cupstack.ecc2 import ecc2_plan
+from conftest import kneser_stackable, multipartite_decide, plan_ham_ecc2
+from cupstack import decide
 from cupstack.graphs import Configuration, verify_plan
 from cupstack.families import (FamilyError, _endpoint_moves, complete_graph,
                                cycle_graph, family, grid_graph,
-                               johnson_graph, kneser_graph, kneser_stackable,
-                               multipartite_decide, multipartite_graph,
+                               johnson_graph, kneser_graph, multipartite_graph,
                                path_graph, petersen_graph, plan_cycle,
-                               plan_grid, plan_ham_ecc2,
-                               plan_path, plan_spider,
+                               plan_grid, plan_path, plan_spider,
                                spider_graph, star_graph)
 from cupstack.oracle import oracle_search
 
@@ -155,10 +154,10 @@ def test_dominating_plans():
     # A dominating target is the ecc-2 path with an empty N_2(r): every
     # other vertex walks its cup in, in vertex order.
     for g, r in ((complete_graph(4), 2), (star_graph(5), 0), (cycle_graph(3), 1)):
-        plan = ecc2_plan(g, r)
+        plan = decide(g, r).plan
         assert list(plan.moves) == [(z, r) for z in range(g.n) if z != r]
         assert verify_plan(g, plan)
-    assert ecc2_plan(star_graph(3), 1) is None
+    assert decide(star_graph(3), 1).plan is None
 
 
 # ------------------------------------------------------- complete multipartite

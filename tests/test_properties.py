@@ -5,13 +5,13 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (apply_move, legal_move, oracle_stackable,
-                      random_connected_graph)
+from conftest import (apply_move, legal_move, oracle_stackable, phi,
+                      random_connected_graph, scd)
 from cupstack.graphs import (Configuration, CubeBoard, Move, Plan,
                              verify_plan)
 from cupstack.families import complete_graph, cycle_graph
 from cupstack.oracle import oracle_search
-from cupstack.cube import phi, revolving_door, scd
+from cupstack.cube import revolving_door
 
 
 graphs_strategy = st.builds(
