@@ -46,6 +46,5 @@ def decide(g: Graph, r: int, budget: Optional[int] = None) -> Decision:
         return Decision(r, "ecc2", True,
                         ecc2.plan_from_matching(g, r, w.matching), None)
     from . import oracle
-    res = oracle.oracle_search(g, graphs.Configuration.all_ones(g.n), r,
-                               oracle.DEFAULT_BUDGET if budget is None else budget)
+    res = oracle.oracle_search(g, graphs.Configuration.all_ones(g.n), r, budget)
     return Decision(r, "oracle", res.decision, res.plan, None)

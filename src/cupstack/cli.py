@@ -6,11 +6,13 @@ in cupstack itself; the traceback goes to stderr).
 
 `decide` and `plan` (on a graph file, or a family without a planner)
 answer through `cupstack.decide`; `oracle` forces the exhaustive search
-on any start.  Only `graphs` loads with this module; each handler, and
-`decide`, imports the other layers it calls, so a process loads only its
-command's layers: `oracle` only for `oracle` and for a decision on a
-target of eccentricity 3 or more, `cube` only for `cube` and
-`plan --family cube`.
+on any start.  Those handlers alone, each before it reads the graph,
+take the search budget from `_budget`: `--budget`, else the checked
+CUPSTACK_ORACLE_BUDGET, else None for the oracle's own default.  Only
+`graphs` loads with this module; each handler, and `decide`, imports the
+other layers it calls, so a process loads only its command's layers:
+`oracle` only for `oracle` and for a decision on a target of
+eccentricity 3 or more, `cube` only for `cube` and `plan --family cube`.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INTERNAL = 4
 
-BUDGET_ENV = "CUPSTACK_ORACLE_BUDGET"
-
 
 def _positive_int(text: str) -> int:
     try:
@@ -43,15 +43,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _default_budget() -> Optional[int]:
-    """The validated budget variable, or None for the oracle's default."""
-    text = os.environ.get(BUDGET_ENV)
-    if text is None:
-        return None
+def _budget(args) -> Optional[int]:
+    """--budget, else the checked budget variable, else None."""
+    name = "CUPSTACK_ORACLE_BUDGET"
+    text = os.environ.get(name)
+    if args.budget is not None or text is None:
+        return args.budget
     try:
         return _positive_int(text)
     except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"{BUDGET_ENV} {exc}") from None
+        raise ValueError(f"{name} {exc}") from None
 
 
 def _emit(data: dict, pretty: bool) -> None:
@@ -109,7 +110,8 @@ def _exit_code(stackable) -> int:
 
 
 def _cmd_decide(args) -> int:
-    d = decide(_load_graph(args.graph), args.target, args.budget)
+    budget = _budget(args)
+    d = decide(_load_graph(args.graph), args.target, budget)
     out = {"target": d.target, "method": d.method, "stackable": d.stackable}
     if d.certificate is not None:
         out["barrier"] = list(d.certificate)
@@ -123,6 +125,8 @@ def _cmd_plan(args) -> int:
     """A family with a planner uses it (target 0 unless -r says
     otherwise); any other family is generated and planned like a graph
     file."""
+    # A family reads the budget below, and only when it searches.
+    budget = None if args.family else _budget(args)
     if (args.graph is None) == (args.family is None):
         raise ValueError("plan needs exactly one of -g and --family")
     r = args.target
@@ -132,7 +136,7 @@ def _cmd_plan(args) -> int:
         fam = families.family(args.family, args.params)
         r = 0 if r is None else r
         if fam.plan is None:
-            args.budget = args.budget or _default_budget()
+            budget = _budget(args)
             g = fam.generate(*args.params)
         else:
             plan = fam.plan(args.params, r)
@@ -145,7 +149,7 @@ def _cmd_plan(args) -> int:
     if g is not None:
         if r is None:
             raise ValueError("plan needs a -r target")
-        d = decide(g, r, args.budget)
+        d = decide(g, r, budget)
         plan = d.plan
         if d.stackable is None:
             _emit({"target": r, "plan": None,
@@ -182,6 +186,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    budget = _budget(args)
     g = _load_graph(args.graph)
     r = args.target
     initial = graphs.Configuration.all_ones(g.n)
@@ -192,7 +197,7 @@ def _cmd_oracle(args) -> int:
                 raise ValueError(f"--config field {i + 1} is not a count: {field!r}")
         initial = graphs.Configuration(tuple(map(int, fields)))
     from . import oracle
-    res = oracle.oracle_search(g, initial, r, args.budget or oracle.DEFAULT_BUDGET)
+    res = oracle.oracle_search(g, initial, r, budget)
     out = {"target": r, "states": res.states, "pruned": res.pruned,
            "rejected_by": res.rejected_by, "stackable": res.decision}
     if res.inconclusive:
@@ -294,10 +299,6 @@ _HANDLERS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        # Only the commands that search read the budget variable, only when
-        # --budget is absent, and `plan --family` only in _cmd_plan.
-        if "budget" in vars(args) and args.budget is None and not vars(args).get("family"):
-            args.budget = _default_budget()
         return _HANDLERS[args.cmd](args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_YES

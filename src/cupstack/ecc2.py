@@ -15,15 +15,16 @@ inside N_2(r), and each needs its own matching edge into X.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graphs import Graph, Plan, shells
-from .matching import Matching, augment, blossom_search
+from .matching import augment, blossom_search
 
 
 class Ecc2Witness(NamedTuple):
     decision: bool
-    matching: Optional[Matching]           # saturates N_2(r) iff decision
+    # Ascending pairs (x, y), x < y; saturates N_2(r) iff decision.
+    matching: Optional[tuple[tuple[int, int], ...]]
     barrier: Optional[tuple[int, ...]]     # refutes every such matching iff not decision
 
 
@@ -51,18 +52,19 @@ def ecc2_decide(g: Graph, r: int) -> Ecc2Witness:
                             if parent[v] != -1 and not outer[v])
             return Ecc2Witness(False, None, barrier)
         augment(match, parent, end)
-    m = Matching.of((v, match[v]) for v in range(g.n) if match[v] > v)
-    return Ecc2Witness(True, m, None)
+    return Ecc2Witness(
+        True, tuple((v, match[v]) for v in range(g.n) if match[v] > v), None)
 
 
-def plan_from_matching(g: Graph, r: int, m: Matching) -> Plan:
-    """Turn an N_2(r)-saturating matching into an explicit plan: matched
-    pairs feed two cups to r over distance 2, everything else walks in.
-    Dominating targets are the degenerate case with an empty shell."""
+def plan_from_matching(g: Graph, r: int, pairs: Iterable[tuple[int, int]]) -> Plan:
+    """Turn an N_2(r)-saturating matching, given as pairs in any order,
+    into an explicit plan: matched pairs, in ascending order, feed two
+    cups to r over distance 2, everything else walks in.  Dominating
+    targets are the degenerate case with an empty shell."""
     n2 = set(_shell2(g, r))
     moves: list[int] = []
     used: set[int] = {r}
-    for x, y in m.sorted_edges():
+    for x, y in sorted({(min(p), max(p)) for p in pairs}):
         if y in n2:
             pass
         elif x in n2:

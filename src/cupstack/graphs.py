@@ -455,15 +455,16 @@ class VerifyResult(NamedTuple):
         return self.ok
 
 
-def verify_plan(board, plan: Plan, initial: Optional[Configuration] = None) -> VerifyResult:
-    """Replay a plan move by move; accept iff every move is legal and the
-    final configuration has every cup on the target.  Two loops walk the
-    flat move array in (src, dst) pairs: a `CubeBoard` (that type, not a
-    subclass that may override `dist`) has its Hamming distance inline, as
-    a call per move is a third of a million-move replay; any other board
-    is asked through `board.dist`."""
+def verify_plan(board, plan: Plan) -> VerifyResult:
+    """Replay a plan move by move from `plan.initial` (None: all ones);
+    accept iff every move is legal and the final configuration has every
+    cup on the target.  Two loops walk the flat move array in (src, dst)
+    pairs: a `CubeBoard` (that type, not a subclass that may override
+    `dist`) has its Hamming distance inline, as a call per move is a third
+    of a million-move replay; any other board is asked through
+    `board.dist`."""
     n = board.n
-    config = initial if initial is not None else plan.initial
+    config = plan.initial
     # The all-ones start has plan.n cups: compare before building it, so
     # a plan claiming a huge n costs nothing.
     if (len(config.counts) if config is not None else plan.n) != n:

@@ -9,25 +9,7 @@ has r as an isolated vertex.
 from __future__ import annotations
 
 from collections import deque
-from typing import Container, Iterable, NamedTuple, Sequence
-
-
-class Matching(NamedTuple):
-    edges: frozenset[tuple[int, int]]
-
-    @staticmethod
-    def of(pairs: Iterable[tuple[int, int]]) -> "Matching":
-        return Matching(frozenset(tuple(sorted(p)) for p in pairs))
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    def vertices(self) -> set[int]:
-        return {v for e in self.edges for v in e}
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+from typing import Container, Sequence
 
 
 def blossom_search(adj: Sequence[Sequence[int]], match: list[int], root: int,

@@ -136,13 +136,16 @@ def _search(g: Graph, c: Configuration, r: int, budget: int) -> OracleResult:
 
 
 def oracle_search(g: Graph, c: Configuration, r: int,
-                  budget: int = DEFAULT_BUDGET) -> OracleResult:
+                  budget: Optional[int] = None) -> OracleResult:
+    """Search c for a plan onto r within `budget` states (None: DEFAULT_BUDGET)."""
     if not (0 <= r < g.n):
         raise ValueError("target out of range")
     if len(c.counts) != g.n:
         raise ValueError("configuration size mismatch")
     if c.size < 1:
         raise ValueError("configuration must hold at least one cup")
-    if budget < 1:
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    elif budget < 1:
         raise ValueError("budget must be a positive number of states")
     return _search(g, c, r, budget)

@@ -16,7 +16,7 @@ from cupstack.cube import _phi_pair
 from cupstack.ecc2 import plan_from_matching
 from cupstack.families import FamilyError, kneser_graph, multipartite_graph
 from cupstack.graphs import Configuration, Graph, Move, Plan, eccentricity
-from cupstack.matching import Matching, augment, blossom_search
+from cupstack.matching import augment, blossom_search
 from cupstack.oracle import oracle_search
 
 
@@ -209,7 +209,7 @@ def plan_ham_ecc2(g: Graph, r: int, hampath: Sequence[int]) -> Plan:
         start = 1 if len(piece) % 2 else 0
         for idx in range(start, len(piece) - 1, 2):
             pairs.append((piece[idx], piece[idx + 1]))
-    return plan_from_matching(g, r, Matching.of(pairs))
+    return plan_from_matching(g, r, pairs)
 
 
 def kneser_stackable(m: int, k: int) -> tuple[Optional[bool], Optional[Graph]]:

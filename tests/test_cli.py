@@ -172,6 +172,35 @@ def test_plan_refuses_graph_and_family_together(capsys):
     assert code == 2 and data is None and "exactly one of" in err
 
 
+@pytest.mark.parametrize("argv, text, code, out, err", [
+    (["plan", "-g", "k4.graph"], None, 2, None,
+     "error: plan needs a -r target\n"),
+    (["oracle", "-g", "grid9x8.graph", "-r", "30", "--budget", "5"], None, 3,
+     {"target": 30, "states": 5, "pruned": 0, "rejected_by": None,
+      "stackable": None, "inconclusive": "budget exhausted"}, ""),
+    (["verify", "-g", "p4.graph", "-p", "FILE"], "[[1, 0]]", 2, None,
+     "error: plan must be a JSON object\n"),
+    (["verify", "-g", "p4.graph", "-p", "FILE"], '{"n": 4, "target": 0}', 2,
+     None, "error: plan has no 'moves'\n"),
+    (["verify", "-g", "p4.graph", "-p", "FILE"],
+     '{"n": 4, "target": 0, "moves": 5}', 2, None,
+     "error: plan moves must be a list\n"),
+    (["verify", "-g", "p4.graph", "-p", "FILE"],
+     '{"n": 4, "target": 0, "moves": [], "initial": 4}', 2, None,
+     "error: plan initial must be a list\n"),
+    (["decide", "-g", "FILE", "-r", "0"], "n 3\nn 3\ne 0 1\ne 1 2\n", 2, None,
+     "error: line 2: duplicate n line\n"),
+])
+def test_exit_paths(tmp_path, capsys, argv, text, code, out, err):
+    # Fixture names resolve under fixtures/; FILE is `text` written out.
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if a == "FILE" else
+            str(FIXTURES / a) if a.endswith(".graph") else a for a in argv]
+    assert run(capsys, *argv) == (code, out, err)
+
+
 def test_verify_refuses_graph_and_cube_together(capsys):
     code, data, err = run(capsys, "verify", "-g", str(FIXTURES / "p4.graph"),
                           "--cube", "2", "-p", str(FIXTURES / "p4.plan.json"))

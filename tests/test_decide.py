@@ -1,8 +1,10 @@
 """The one decision entry point, `cupstack.decide`, and the rule that no
 other code in the package chooses between the matching test and the
-exhaustive search."""
+exhaustive search, and the one owner each of the search budget's
+default, the budget variable and a replay's start."""
 
 import ast
+import inspect
 import pathlib
 
 import pytest
@@ -58,30 +60,50 @@ def test_decide_refuses_target_out_of_range(r):
         decide(path_graph(4), r)
 
 
-def calls_by_function(path: pathlib.Path, names: set[str]) -> set[str]:
-    """The functions of a module (its qualified name, or "<module>") that
-    call a function named in `names`, as a bare name or an attribute."""
+def name_of(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def functions_holding(hit) -> set[str]:
+    """The functions of the package ("module.qualified_name", or
+    "module.<module>") that hold a node for which `hit(node)` is true."""
     found = set()
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = node.name if where == "<module>" else f"{where}.{node.name}"
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name in names:
-                found.add(where)
+        if hit(node):
+            found.add(f"{stem}.{where}")
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    for path in sorted(SRC.glob("*.py")):
+        stem = path.stem
+        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
     return found
 
 
+def calls_to(names: set[str]):
+    return lambda node: isinstance(node, ast.Call) and name_of(node.func) in names
+
+
 def test_only_decide_chooses_the_method():
-    callers = {"ecc2_decide": set(), "oracle_search": set()}
-    for path in sorted(SRC.glob("*.py")):
-        for name, where in callers.items():
-            where.update(f"{path.stem}.{f}" for f in calls_by_function(path, {name}))
+    callers = {name: functions_holding(calls_to({name}))
+               for name in ("ecc2_decide", "oracle_search")}
     assert callers == {"ecc2_decide": {"__init__.decide"},
                        "oracle_search": {"__init__.decide", "cli._cmd_oracle"}}
+
+
+def test_one_owner_each_for_the_budget_and_the_plan_start():
+    # The oracle alone defaults the budget; the CLI reads the variable in
+    # one helper; a replay starts from Plan.initial and nowhere else.
+    default = functions_holding(lambda node: name_of(node) == "DEFAULT_BUDGET")
+    assert {where.split(".")[0] for where in default} == {"oracle"}
+    variable = functions_holding(
+        lambda node: name_of(node) in ("environ", "getenv")
+        or (isinstance(node, ast.Constant) and node.value == "CUPSTACK_ORACLE_BUDGET"))
+    assert variable == {"cli._budget"}
+    assert list(inspect.signature(verify_plan).parameters) == ["board", "plan"]
+    third = functions_holding(lambda node: calls_to({"verify_plan"})(node)
+                              and len(node.args) + len(node.keywords) > 2)
+    assert third == set()

@@ -12,7 +12,6 @@ from cupstack.graphs import (Configuration, Graph, shells, verify_barrier,
 from cupstack.ecc2 import ecc2_decide, plan_from_matching
 from cupstack.families import (complete_graph, cycle_graph, multipartite_graph,
                                petersen_graph, star_graph)
-from cupstack.matching import Matching
 from cupstack.oracle import oracle_search
 
 
@@ -22,8 +21,8 @@ def test_petersen_every_target_true():
         w = ecc2_decide(g, r)
         assert w.decision
         n2 = set(shells(g, r)[2])
-        assert len(n2) == 6 and n2 <= w.matching.vertices()
-        assert w.matching.size >= 3
+        assert len(n2) == 6 and n2 <= {v for pair in w.matching for v in pair}
+        assert len(w.matching) >= 3
 
 
 def test_star_leaf_false():
@@ -43,26 +42,31 @@ def test_rejects_eccentricity_above_two():
     with pytest.raises(ValueError, match="above 2"):
         ecc2_decide(cycle_graph(7), 0)
     with pytest.raises(ValueError, match="above 2"):
-        plan_from_matching(cycle_graph(7), 0, Matching.of([]))
+        plan_from_matching(cycle_graph(7), 0, [])
 
 
 def test_dominating_target_needs_the_empty_matching():
     for g in (complete_graph(4), star_graph(3), Graph(1, [])):
         w = ecc2_decide(g, 0)
-        assert w.decision and w.matching.size == 0 and w.barrier is None
+        assert w.decision and w.matching == () and w.barrier is None
 
 
 def test_plan_from_matching_c5():
-    g = cycle_graph(5)
-    plan = plan_from_matching(g, 0, Matching.of([(2, 3)]))
-    assert [(m.src, m.dst) for m in plan.moves] == [
-        (2, 3), (3, 0), (1, 0), (4, 0)]
-    assert verify_plan(g, plan)
+    # Also C5 plus the chord (1, 4), whose pair has no end at distance 2
+    # from 0: both ends walk in alone.  Pairs come in any order and
+    # orientation.
+    c5 = cycle_graph(5)
+    chord = Graph(5, [*c5.edges(), (1, 4)])
+    for g, pairs in ((c5, [(2, 3)]), (chord, {(2, 3), (4, 1)})):
+        plan = plan_from_matching(g, 0, pairs)
+        assert [(m.src, m.dst) for m in plan.moves] == [
+            (2, 3), (3, 0), (1, 0), (4, 0)]
+        assert verify_plan(g, plan)
 
 
 def test_plan_from_matching_k3_dominating():
     g = complete_graph(3)
-    plan = plan_from_matching(g, 0, Matching.of([]))
+    plan = plan_from_matching(g, 0, [])
     assert [(m.src, m.dst) for m in plan.moves] == [(1, 0), (2, 0)]
     assert verify_plan(g, plan)
 
@@ -70,7 +74,7 @@ def test_plan_from_matching_k3_dominating():
 def test_plan_from_matching_rejects_unsaturated():
     g = cycle_graph(5)
     with pytest.raises(ValueError, match="not matched"):
-        plan_from_matching(g, 0, Matching.of([]))
+        plan_from_matching(g, 0, [])
 
 
 def test_petersen_plan_accepted():
@@ -148,7 +152,7 @@ def test_atlas_witnesses_and_plans_pinned(atlas7):
                 continue
             targets += 1
             w = ecc2_decide(g, r)
-            h.update(repr((w.decision, w.matching and w.matching.sorted_edges(),
+            h.update(repr((w.decision, None if w.matching is None else list(w.matching),
                            w.barrier)).encode())
             if w.decision:
                 h.update(plan_from_matching(g, r, w.matching).flat.tobytes())

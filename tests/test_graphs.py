@@ -500,7 +500,7 @@ def test_verify_rejects_out_of_range_vertex():
         for moves, step in (([1, 0, bad, 0], 1), ([1, 0, 0, bad], 1),
                             ([bad, 0], 0), ([0, bad], 0)):
             for initial in (None, ones):
-                res = verify_plan(g, Plan(3, 0, moves), initial)
+                res = verify_plan(g, Plan(3, 0, moves, initial))
                 assert res == (False, step, f"move {step}: vertex out of range")
     for target in (3, -1):
         res = verify_plan(g, Plan(3, target, [1, 2, 2, 0]))
@@ -547,9 +547,9 @@ def test_cube_replay_matches_the_generic_loop():
         holed = Configuration(tuple(0 if v in zeros else 1 for v in range(plan.n)))
         for spoilt in _cube_spoils(flat, plan.n):
             for start in (Configuration.all_ones(plan.n), holed):
-                p = Plan(plan.n, plan.target, spoilt)
-                res = verify_plan(cube, p, start)
-                assert res == verify_plan(graph, p, start)
+                p = Plan(plan.n, plan.target, spoilt, start)
+                res = verify_plan(cube, p)
+                assert res == verify_plan(graph, p)
                 assert res.step == _first_bad_move(cube, spoilt, start)
                 reasons.add(re.sub(r"[-\d]+", "#", res.reason or "accepted"))
     assert reasons == {"move #: vertex out of range", "move #: source # empty",
@@ -609,7 +609,7 @@ def test_verify_leaves_plan_array_resizable():
     start = Configuration((1, 0, 1))
     for moves, reason in (([1, 2], "move 0: source 1 empty"),
                           ([2, 1], "move 0: destination 1 empty")):
-        assert verify_plan(Faulty(), Plan(3, 0, moves), start) == (False, 0, reason)
+        assert verify_plan(Faulty(), Plan(3, 0, moves, start)) == (False, 0, reason)
 
 
 def test_verify_rejects_unconcentrated_final_state():
@@ -619,8 +619,7 @@ def test_verify_rejects_unconcentrated_final_state():
 
 
 def test_verify_rejects_size_mismatch():
-    res = verify_plan(path_graph(3), Plan(3, 0, []),
-                      initial=Configuration((1, 1)))
+    res = verify_plan(path_graph(3), Plan(3, 0, [], Configuration((1, 1))))
     assert not res and "size mismatch" in res.reason
     # A plan's own n is compared before any all-ones start is built.
     res = verify_plan(path_graph(3), Plan(10 ** 12, 0, []))
@@ -701,6 +700,9 @@ def test_partition_single_part_path():
         StackingPart((1, 2, 3, 4), (1, 1, 1, 1), 4, (3, 4, 2, 1)),))
     res = verify_partition(g, Configuration.all_ones(5), 0, p)
     assert not res and res.step == 0 and "property 3" in res.reason
+    # A partition for another target.
+    res = verify_partition(g, Configuration.all_ones(5), 1, p)
+    assert res == (False, None, "partition target mismatch")
 
 
 def test_partition_rejects_overlap():
@@ -711,6 +713,16 @@ def test_partition_rejects_overlap():
     ))
     res = verify_partition(g, Configuration.all_ones(4), 0, p)
     assert not res and "property 2" in res.reason
+    # A part holding the target, and cups that disagree with C vertex by
+    # vertex though their total is right.
+    for parts, step, reason in (
+            ((StackingPart((0, 1, 2, 3), (1, 1, 1, 1), 3),), 0,
+             "part 0: contains the target"),
+            ((StackingPart((1, 2, 3), (1, 0, 2), 3),), 0,
+             "part 0: cup count at 2 disagrees with C (property 2)")):
+        res = verify_partition(g, Configuration.all_ones(4), 0,
+                               StackingPartition(0, parts))
+        assert res == (False, step, reason)
 
 
 def test_partition_rejects_bad_staging_distance():
@@ -726,6 +738,11 @@ def test_partition_rejects_missing_cover():
     p = StackingPartition(0, (StackingPart((1, 2), (1, 1), 2, (1, 2)),))
     res = verify_partition(g, Configuration((1, 1, 1, 0)), 0, p)
     assert not res and "property 1" in res.reason
+    # Every vertex covered, but the cups do not sum to those off r.
+    p = StackingPartition(0, (StackingPart((1, 2, 3), (1, 1, 0), 2),))
+    res = verify_partition(g, Configuration.all_ones(4), 0, p)
+    assert res == (False, None,
+                   "sub-configurations do not sum to C - r (property 2)")
 
 
 def test_partition_rejects_moves_outside_the_part():
