@@ -26,6 +26,10 @@ template.  Strided slice assignment copies a chunk's labels into 32-bit
 lanes; read as one big int they are masked to 0 at the target, or-ed with
 the cached offsets (joined once per run of chunks with equal picks) and
 appended to the plan's flat int array.
+
+The split, which subcube takes which gadget, depends on d alone: `_split`
+builds its batches once per d and keeps them, and each `plan_cube` call
+only runs them through `_emit` into a fresh array.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import sys
 from array import array
 from functools import lru_cache
 from itertools import chain, compress
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .graphs import PLAN_TYPECODE, Plan
 
@@ -45,47 +49,34 @@ class CubeError(ValueError):
 
 # ------------------------------------------------ symmetric chain machinery
 
-def _walk_byte(b: int) -> tuple[int, int, int, int]:
-    """Bracket walk over the 8 bits of b, low bit first, +1 for a one and
-    -1 for a zero: (sum, best prefix, first position of the best, first
-    position of the best minus one), where the empty prefix counts as 0
-    at position -1."""
-    total = best = 0
-    pos = below = -1
-    for i in range(8):
-        total += 1 if b >> i & 1 else -1
-        if total > best:            # steps are +-1: a new best is one up
-            best, pos, below = total, i, pos
-    return total, best, pos, below
+# bytes.translate tables: one more (a level, or a walk's gap below), one
+# less but not below 0, and 0xff exactly at 0.
+_PLUS1 = bytes(range(1, 256)) + b"\0"
+_MINUS1 = bytes(1) + bytes(range(255))
+_AT_TOP = b"\xff" + bytes(255)
 
 
-_WALK = tuple(_walk_byte(b) for b in range(256))
-
-
-def _phi_pair(mask: int) -> tuple[Optional[int], Optional[int]]:
-    """(phi(mask), phi(phi(mask))), each None where a chain bottom is
-    passed.  A one is unmatched exactly when the bracket walk reaches a
-    new maximum there, and phi(mask) keeps the unmatched ones of mask but
-    its last, so phi(phi(mask)) drops the last two: the first positions
-    where the walk reaches its maximum M and M - 1, if these are above 0.
-    `_WALK` finds both a byte at a time; zeros above the top one only
-    lower the walk, so n is not needed."""
-    run = best = base = 0
-    pos = below = -1
-    rest = mask
-    while rest:
-        total, top, at, at_below = _WALK[rest & 255]
-        if run + top > best:
-            # M - 1 is first reached in this byte unless it is the old best.
-            below = base + at_below if run + top - 1 > best else pos
-            best, pos = run + top, base + at
-        run += total
-        rest >>= 8
-        base += 8
-    if pos < 0:
-        return None, None
-    b = mask & ~(1 << pos)
-    return b, (b & ~(1 << below) if below >= 0 else None)
+def _phi_tables(n: int) -> tuple[bytes, bytes]:
+    """Chain links of every n-bit label m as two tables of 1-based bit
+    positions, 0 for none (past a chain bottom): phi(m) clears bit
+    first[m] - 1, and phi(phi(m)) also clears bit second[m] - 1.  Read
+    low bit first, m is a bracket walk from 0, +1 for a one and -1 for a
+    zero; phi clears the one where the walk first reaches its maximum M,
+    and phi(phi(m)) also the one where it first reaches M - 1.  The tables
+    double one top bit at a time, tracking each label's gap, M minus where
+    its walk ends: a new top bit 0 widens the gap; a new top bit 1 narrows
+    it, or at gap 0 moves the first entry to the new bit and the second
+    to the old first.  Zeros above the top one only lower the walk, so an
+    entry does not depend on n."""
+    first = second = gap = b"\0"
+    for bit in range(1, n + 1):
+        size = len(gap)
+        top, new, old, older = (int.from_bytes(t, "little") for t in
+                                (gap.translate(_AT_TOP), bytes([bit]) * size, first, second))
+        first += (old & ~top | new & top).to_bytes(size, "little")
+        second += (older & ~top | old & top).to_bytes(size, "little")
+        gap = gap.translate(_PLUS1) + gap.translate(_MINUS1)
+    return first, second
 
 
 def revolving_door(m: int, k: int) -> list[tuple[int, ...]]:
@@ -248,23 +239,31 @@ _PAIR_FLAT = _compile_gadget(PAIR_GADGET)
 _TRIPLE_FLAT = _compile_gadget(TRIPLE_GADGET)
 
 
-def plan_level4_3cubes(d: int, out: array) -> array:
-    """Fragment covering every level-4 3-cube of the standard split: the
+def _level4_batches(d: int) -> list[tuple]:
+    """`_emit` batches of every level-4 3-cube of the standard split: the
     labels are paired along a revolving-door cycle, with one triple when
     the count is odd."""
     if d < 8:
         raise CubeError("pair and triple gadgets need d >= 8")
-    n = d - 3
     dims = (d - 3, d - 2, d - 1)
-    cycle = [sum(1 << (e - 1) for e in c) for c in revolving_door(n, 4)]
+    cycle = array(PLAN_TYPECODE, (sum(1 << (e - 1) for e in c)
+                                  for c in revolving_door(d - 3, 4)))
     odd = 3 if len(cycle) % 2 else 0
     triple, us, vs = cycle[:odd], cycle[odd::2], cycle[odd + 1::2]
     for u, v in chain(zip(triple, triple[1:]), zip(us, vs)):
         if (u ^ v).bit_count() != 2:
             raise CubeError(f"revolving-door labels {u} and {v} are not adjacent")
-    if triple:
-        _emit(out, [(u,) for u in triple], dims, {0: _TRIPLE_FLAT}, b"\0")
-    return _emit(out, (us, vs), dims, {0: _PAIR_FLAT}, bytes(len(us)))
+    return [("level4-3cubes", tuple(triple[i:i + 1] for i in range(odd)), dims,
+             {0: _TRIPLE_FLAT}, bytes(odd // 3)),
+            ("level4-3cubes", (us, vs), dims, {0: _PAIR_FLAT}, bytes(len(us)))]
+
+
+def plan_level4_3cubes(d: int, out: array) -> array:
+    """Append the fragments of every level-4 3-cube of the standard split
+    to `out` and return it."""
+    for _, *batch in _level4_batches(d):
+        _emit(out, *batch)
+    return out
 
 
 # Chain-triple gadgets at levels 9 to 12.  A gather is the flat moves,
@@ -332,31 +331,71 @@ _HIGH = bytes(12) + b"\1" * 244
 _LOWER = bytes(range(12)) + bytes([_GONE]) * 244
 _UPPER = bytes(range(1, 13)) + bytes([_GONE]) * 244
 _BASE = b"\0\1\1\1\0\1\1\1\1" + bytes(247)      # levels 1-3 and 5-8
-_PLUS1 = bytes(range(1, 256)) + b"\0"            # one more bit set
 
 
-def _abc_loop(pool: bytearray, dims: Sequence[int], out: array) -> list[int]:
-    """Append chain triples from the pool to `out`, one batch per level
-    from 12 (the highest in the pool) down to 9, highest label first,
-    marking the labels they take _GONE; returns the labels that cannot
-    join any triple (the reported gap)."""
+def _abc_loop(pool: bytearray, dims: tuple[int, ...]) -> tuple[list[tuple], list[int]]:
+    """`_emit` batches of chain triples from the pool, one per level from
+    12 (the highest in the pool) down to 9, highest label first, marking
+    the labels they take _GONE; and the labels that cannot join any
+    triple (the reported gap)."""
+    first, second = _phi_tables(len(pool).bit_length() - 1)
+    batches: list[tuple] = []
     unassigned: list[int] = []
     for level in range(12, 8, -1):
         abc = array(PLAN_TYPECODE)            # a, b, c of each triple in turn
         a = len(pool)
         while (a := pool.rfind(level, 0, a)) >= 0:
             pool[a] = _GONE
-            b, c = _phi_pair(a)
-            if c is None:
+            if not second[a]:
                 unassigned.append(a)
                 continue
+            b = a ^ 1 << first[a] - 1
+            c = b ^ 1 << second[a] - 1
             if pool[b] != level - 1 or pool[c] != level - 2:
                 raise AssertionError("chain neighbors missing from the pool")
             pool[b] = pool[c] = _GONE
             abc.extend((a, b, c))
-        _emit(out, (abc[::3], abc[1::3], abc[2::3]), dims, {0: _abc_flat(level)},
-              bytes(len(abc) // 3))
-    return sorted(unassigned)
+        batches.append(("chain-triples", (abc[::3], abc[1::3], abc[2::3]), dims,
+                        {0: _abc_flat(level)}, bytes(len(abc) // 3)))
+    return batches, sorted(unassigned)
+
+
+@lru_cache(maxsize=None)
+def _split(d: int) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """Everything of plan_cube(d) that depends on d alone: its `_emit`
+    batches in order, each (phase, label columns, dims, templates,
+    picks), and the unassigned labels.  Nothing mutates them.  Batches
+    without fragments are left out; the direct batch of d = 0 has one
+    fragment of no moves, so its phase reads 0."""
+    one = lambda label: (array(PLAN_TYPECODE, (label,)),)
+    if d <= 6:
+        return (("direct", one(0), tuple(range(d)), {0: _solve(d, 0)}, b"\0"),), ()
+    if d == 7:
+        return tuple(("low-4cubes", one(m), (3, 4, 5, 6), {0: _solve(4, m.bit_count())}, b"\0")
+                     if m.bit_count() <= 2 else
+                     ("level3-4cube", one(m), (3, 4, 5, 6), {0: _LEVEL3_4CUBE_FLAT}, b"\0")
+                     for m in range(8)), ()
+    # levels[m] is the level of 4-cube m, built by doubling: labels
+    # 2^j..2^(j+1)-1 are those below 2^j with bit j set.  Chain triples
+    # start at d = 12, the first d with a level-9 3-cube.
+    dims4 = (d - 4, d - 3, d - 2, d - 1)
+    dims3 = dims4[1:]
+    levels = b"\0"
+    for _ in range(d - 4):
+        levels += levels.translate(_PLUS1)
+    high = levels.translate(_HIGH)
+    batches = [("high-4cubes", (array(PLAN_TYPECODE, compress(range(len(levels)), high)),),
+                dims4, {l: _solve(4, l) for l in range(12, 17)}, bytes(compress(levels, high)))]
+    pool = bytearray(levels.translate(_LOWER) + levels.translate(_UPPER))
+    triples, unassigned = _abc_loop(pool, dims3)
+    # Label 0 first (its template is shorter), then the rest but level 4,
+    # which the gadgets cover.
+    base = pool.translate(_BASE)
+    batches += triples + _level4_batches(d) + [
+        ("base-3cubes", one(0), dims3, {0: _solve(3, 0)}, b"\0"),
+        ("base-3cubes", (array(PLAN_TYPECODE, compress(range(len(pool)), base)),), dims3,
+         {l: _solve(3, l) for l in (1, 2, 3, 5, 6, 7, 8)}, bytes(compress(pool, base)))]
+    return tuple(batch for batch in batches if batch[-1]), tuple(unassigned)
 
 
 def plan_cube(d: int) -> CubePlanResult:
@@ -364,61 +403,16 @@ def plan_cube(d: int) -> CubePlanResult:
     one flat move array.  Complete for d <= 19; for d = 20 the level-9
     3-cubes of the standard split whose symmetric chain is only {level 8,
     level 9} have no third cube to team up with and are reported as
-    unassigned."""
+    unassigned.  The split (`_split`) is built once per d; every call
+    runs its batches into a fresh array and counts their moves per phase
+    into a fresh dict."""
     if not 0 <= d <= 20:
         raise CubeError("plans are only constructed for 0 <= d <= 20")
+    batches, unassigned = _split(d)
     out = array(PLAN_TYPECODE)
     phases: dict[str, int] = {}
-    unassigned: list[int] = []
-
-    def phase(name: str, start: int) -> None:
-        """Count the moves since `start`; a phase with none is left out."""
-        if len(out) > start:
-            phases[name] = phases.get(name, 0) + (len(out) - start) // 2
-
-    if d <= 6:
-        _emit(out, [(0,)], range(d), {0: _solve(d, 0)}, b"\0")
-        phases["direct"] = len(out) // 2
-    elif d == 7:
-        dims4 = (3, 4, 5, 6)
-        for label in range(8):
-            start = len(out)
-            if label.bit_count() <= 2:
-                _emit(out, [(label,)], dims4, {0: _solve(4, label.bit_count())}, b"\0")
-                phase("low-4cubes", start)
-            else:
-                _emit(out, [(label,)], dims4, {0: _LEVEL3_4CUBE_FLAT}, b"\0")
-                phase("level3-4cube", start)
-    else:
-        # levels[m] is the level of 4-cube m, built by doubling: labels
-        # 2^j..2^(j+1)-1 are those below 2^j with bit j set.  Chain triples
-        # start at d = 12, the first d with a level-9 3-cube.
-        n = d - 3
-        dims4 = (d - 4, d - 3, d - 2, d - 1)
-        dims3 = dims4[1:]
-        levels = b"\0"
-        for _ in range(n - 1):
-            levels += levels.translate(_PLUS1)
-        high = levels.translate(_HIGH)
+    for name, *batch in batches:
         start = len(out)
-        _emit(out, [array(PLAN_TYPECODE, compress(range(len(levels)), high))], dims4,
-              {l: _solve(4, l) for l in range(12, 17)}, bytes(compress(levels, high)))
-        phase("high-4cubes", start)
-        pool = bytearray(levels.translate(_LOWER) + levels.translate(_UPPER))
-        start = len(out)
-        unassigned = _abc_loop(pool, dims3, out)
-        phase("chain-triples", start)
-        start = len(out)
-        plan_level4_3cubes(d, out)
-        phase("level4-3cubes", start)
-        start = len(out)
-        # Label 0 first (its template is shorter), then the rest but level 4,
-        # which the gadgets above cover.
-        _emit(out, [(0,)], dims3, {0: _solve(3, 0)}, b"\0")
-        base = pool.translate(_BASE)
-        _emit(out, [array(PLAN_TYPECODE, compress(range(len(pool)), base))], dims3,
-              {l: _solve(3, l) for l in (1, 2, 3, 5, 6, 7, 8)}, bytes(compress(pool, base)))
-        phase("base-3cubes", start)
-
-    plan = Plan(1 << d, 0, out)
-    return CubePlanResult(d, plan, not unassigned, tuple(unassigned), phases)
+        _emit(out, *batch)
+        phases[name] = phases.get(name, 0) + (len(out) - start) // 2
+    return CubePlanResult(d, Plan(1 << d, 0, out), not unassigned, unassigned, phases)

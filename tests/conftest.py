@@ -4,6 +4,7 @@ the library's own decision or chain walk."""
 
 from __future__ import annotations
 
+import functools
 import random
 from itertools import combinations
 from typing import Optional, Sequence
@@ -12,7 +13,7 @@ import networkx as nx
 import pytest
 
 from cupstack import decide
-from cupstack.cube import _phi_pair
+from cupstack.cube import _phi_tables
 from cupstack.ecc2 import plan_from_matching
 from cupstack.families import FamilyError, kneser_graph, multipartite_graph
 from cupstack.graphs import Configuration, Graph, Move, Plan, eccentricity
@@ -143,6 +144,18 @@ def floyd_warshall(g: Graph):
 
 # --------------------------------------------- symmetric chain decomposition
 
+# The library builds a width's tables once per cube plan; phi here asks
+# for them once per mask, so they are kept.
+_links = functools.lru_cache(maxsize=None)(_phi_tables)
+
+
+def _pred(n: int, mask: int) -> Optional[int]:
+    """phi(mask) from the chain-link table of width n, None for a chain
+    bottom."""
+    bit = _links(n)[0][mask]
+    return mask ^ 1 << bit - 1 if bit else None
+
+
 def scd(n: int) -> list[list[int]]:
     """Symmetric chain decomposition of the subsets of an n-element set,
     as lists of bitmasks in ascending order, in order of their bottoms.
@@ -153,7 +166,7 @@ def scd(n: int) -> list[list[int]]:
     chains = []
     top: dict[int, list[int]] = {}          # each chain by its last set
     for mask in range(1 << n):
-        pred = _phi_pair(mask)[0]
+        pred = _pred(n, mask)
         if pred is None:                     # a chain bottom
             chain = [mask]
             chains.append(chain)
@@ -171,7 +184,7 @@ def phi(n: int, mask: int) -> int:
     one."""
     if mask >> n:
         raise ValueError(f"mask {mask} is not a subset of {n} elements")
-    pred = _phi_pair(mask)[0]
+    pred = _pred(n, mask)
     if pred is None:
         raise ValueError("a chain bottom has no predecessor")
     return pred

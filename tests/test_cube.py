@@ -110,19 +110,20 @@ def test_phi_is_chain_predecessor():
 
 def test_phi_table_matches_bracket_scan():
     # Every mask below 2^17, taken at its own width n (top bit n - 1):
-    # the byte table agrees with the bit-by-bit bracket scan, and the same
-    # walk gives phi(phi(mask)), None where a chain bottom is passed.
+    # the chain-link tables of width 17 agree with the bit-by-bit bracket
+    # scan, run once for phi(mask) and again on it for phi(phi(mask)),
+    # each None where a chain bottom is passed.
+    first, second = cube._phi_tables(17)
+    assert len(first) == len(second) == 1 << 17
     for n in range(18):
         for mask in range(1 << n >> 1, 1 << n):
             ones, _ = _unmatched(n, mask)
-            expected = mask & ~(1 << ones[-1]) if ones else None
-            b, c = cube._phi_pair(mask)
-            assert b == expected, (n, mask)
-            try:
-                expected = phi(n, phi(n, mask))
-            except ValueError:
-                expected = None
-            assert c == expected, (n, mask)
+            b = mask & ~(1 << ones[-1]) if ones else None
+            ones = _unmatched(n, b)[0] if ones else []
+            c = b & ~(1 << ones[-1]) if ones else None
+            got_b = mask ^ 1 << first[mask] - 1 if first[mask] else None
+            got_c = got_b ^ 1 << second[mask] - 1 if second[mask] else None
+            assert (got_b, got_c) == (b, c), (n, mask)
 
 
 def test_phi_rejects_mask_wider_than_n():
@@ -510,6 +511,49 @@ def test_plan_cube_rejects_out_of_range():
 
 def test_plan_cube_deterministic():
     assert plan_cube(9).plan.moves == plan_cube(9).plan.moves
+
+
+def _fields(result):
+    return (result.plan.flat, result.complete, result.unassigned,
+            list(result.phase_moves.items()))
+
+
+def test_plan_cube_cold_and_warm_calls_agree():
+    # The split is built once per d: a call on an empty memo and a call
+    # that reuses it give the same moves and fields.
+    for d in range(21):
+        cube._split.cache_clear()
+        cold = plan_cube(d)
+        warm = plan_cube(d)
+        assert cube._split.cache_info().hits == 1
+        assert _fields(cold) == _fields(warm), d
+
+
+@pytest.mark.parametrize("d", [0, 7, 12])
+def test_plan_cube_results_share_nothing(d):
+    # Editing one result's moves or phase counts leaves the next call's
+    # result as it would have been...
+    first = plan_cube(d)
+    expected = first.plan.flat.tobytes(), dict(first.phase_moves)
+    first.plan.flat.extend((1, 0))
+    first.phase_moves["extra"] = 1
+    again = plan_cube(d)
+    assert (again.plan.flat.tobytes(), again.phase_moves) == expected
+    # ... and the next call leaves the earlier result as it was.
+    assert (first.plan.flat[:-2].tobytes(), first.phase_moves) == (
+        expected[0], dict(expected[1], extra=1))
+
+
+def test_plan_cube_does_not_memoize_a_failed_split(monkeypatch):
+    # A split that raised is not kept: once revolving_door gives adjacent
+    # labels again, the same d is built afresh and verifies.
+    cube._split.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(cube, "revolving_door", lambda m, k: [(1, 2, 3, 4), (3, 4, 5, 6)])
+        with pytest.raises(CubeError, match="not adjacent"):
+            plan_cube(9)
+    result = plan_cube(9)
+    assert result.complete and verify_plan(CubeBoard(9), result.plan)
 
 
 # Built once per d for the pin tests below.
