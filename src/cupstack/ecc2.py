@@ -38,9 +38,12 @@ def _shell2(g: Graph, r: int) -> list[int]:
 
 def ecc2_decide(g: Graph, r: int) -> Ecc2Witness:
     n2 = _shell2(g, r)
-    # G - r on the original labels: r stays as an isolated vertex.
-    adj = [() if v == r else tuple(u for u in row if u != r)
-           for v, row in enumerate(g.adj)]
+    # G - r on the original labels, r left as an isolated vertex: only
+    # r's row and its neighbours' rows differ from G's.
+    adj = list(g.adj)
+    adj[r] = ()
+    for v in g.adj[r]:
+        adj[v] = tuple(u for u in adj[v] if u != r)
     spare = set(range(g.n)).difference(n2)
     match = [-1] * g.n
     for s in n2:

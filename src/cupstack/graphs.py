@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import operator
 from array import array
-from collections import deque
 from collections.abc import Sequence
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -45,28 +44,58 @@ class Graph:
         self.adj: tuple[tuple[int, ...], ...] = tuple(
             tuple(sorted(s)) for s in adj)
         self.labels = tuple(labels) if labels is not None else None
+        # Each source's distance row and layers, once `_layering` has run
+        # from it; `_dist` is `_rows` once every source has.
+        self._rows: list[Optional[list[int]]] = [None] * n
+        self._layers: list[Optional[list[list[int]]]] = [None] * n
         self._dist: Optional[list[list[int]]] = None
-        if min(self.bfs_from(0)) < 0:
+        if sum(map(len, self._layering(0))) < n:
             raise GraphError("graph is disconnected")
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
+    def _layering(self, s: int) -> list[list[int]]:
+        """s's layers, the vertices at each distance from s in ascending
+        order, from one breadth-first pass that also records s's distance
+        row (-1 where s does not reach); both are kept for later calls."""
+        layers = self._layers[s]
+        if layers is None:
+            adj = self.adj
+            row = [-1] * self.n
+            row[s] = 0
+            layers = [[s]]
+            front = layers[0]
+            while True:
+                d = len(layers)
+                grown = []
+                for u in front:
+                    for v in adj[u]:
+                        if row[v] < 0:
+                            row[v] = d
+                            grown.append(v)
+                if not grown:
+                    break
+                grown.sort()
+                layers.append(grown)
+                front = grown
+            self._rows[s] = row
+            self._layers[s] = layers
+        return layers
+
     def bfs_from(self, s: int) -> list[int]:
-        dist = [-1] * self.n
-        dist[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return dist
+        """s's distance row, from s's layering; the list is kept on the
+        graph and shared, so do not mutate it."""
+        self._layering(s)
+        return self._rows[s]
 
     def distances(self) -> list[list[int]]:
+        """The all-pairs matrix: every source's distance row, laid out by
+        one `_layering` pass each.  Shared, like `bfs_from`'s rows."""
         if self._dist is None:
-            self._dist = [self.bfs_from(s) for s in range(self.n)]
+            for s in range(self.n):
+                self._layering(s)
+            self._dist = self._rows
         return self._dist
 
     @cached_property
@@ -113,13 +142,11 @@ class Graph:
         n = self.n
         if sum(map(len, self.adj)) != 2 * (n - 1):
             return None
-        depth, parent = [0] * n, [0] * n
-        order = [0]
-        for u in order:                 # BFS; a tree reaches each vertex once
-            for w in self.adj[u]:
-                if w != parent[u]:
-                    parent[w], depth[w] = u, depth[u] + 1
-                    order.append(w)
+        self._layering(0)
+        depth = self._rows[0]
+        # In a tree each vertex but 0 has one neighbour a layer nearer 0.
+        parent = [0] + [next(u for u in self.adj[w] if depth[u] < depth[w])
+                        for w in range(1, n)]
         up = [parent]
         for _ in range(max(depth).bit_length() - 1):
             up.append([up[-1][p] for p in up[-1]])
@@ -128,7 +155,9 @@ class Graph:
     def dist(self, u: int, v: int) -> int:
         """Hop distance, from the first of five tiers that applies:
 
-        1. the all-pairs matrix, once `distances` has built it;
+        1. the all-pairs matrix, once `distances` has laid out every
+           source's row (a row that `bfs_from` or `shells` memoised
+           alone is not read here);
         2. a closed form when the graph is, edge for edge, a row-major
            grid (paths, `grid_graph`, `cube_graph`; see `_grid_axes`,
            found once on the first call that finds no matrix): the sum
@@ -270,20 +299,14 @@ def format_graph(g: Graph) -> str:
 
 
 def shells(g: Graph, r: int) -> list[list[int]]:
-    """Vertex sets N_0(r)..N_ecc(r) grouped by distance from r."""
-    dist = g.bfs_from(r)
-    out: list[list[int]] = [[] for _ in range(max(dist) + 1)]
-    for v, d in enumerate(dist):
-        out[d].append(v)
-    return out
+    """Vertex sets N_0(r)..N_ecc(r) grouped by distance from r, each
+    ascending: r's layering, kept on the graph and shared, so do not
+    mutate it."""
+    return g._layering(r)
 
 
 def eccentricity(g: Graph, v: int) -> int:
-    return max(g.bfs_from(v))
-
-
-def diameter(g: Graph) -> int:
-    return max(eccentricity(g, v) for v in range(g.n))
+    return len(g._layering(v)) - 1
 
 
 class Move(NamedTuple):
@@ -569,68 +592,4 @@ def verify_barrier(g: Graph, r: int, barrier: Iterable[int]) -> VerifyResult:
             False, None,
             f"{odd_inside} odd components of (G - r) - X inside N_2(r), "
             f"not more than |X| = {len(X)}")
-    return VerifyResult(True)
-
-
-class StackingPart(NamedTuple):
-    vertices: tuple[int, ...]
-    cups: tuple[int, ...]        # cup counts aligned with vertices
-    staging: int                 # vertex the part stacks onto
-    moves: Sequence[int] = ()    # flat [s0, d0, ...] stacking it there
-
-
-class StackingPartition(NamedTuple):
-    target: int
-    parts: tuple[StackingPart, ...]
-
-
-def verify_partition(g: Graph, c: Configuration, r: int,
-                     p: StackingPartition) -> VerifyResult:
-    """Check the defining properties of a stacking partition: (1) the
-    part vertex sets cover V - {r}, (2) the sub-configurations are
-    disjoint and sum to the cups off r, and (3) each part stacks onto its
-    staging vertex, whose distance to r equals its cup total.  For (3)
-    each part's moves must stay inside the part; they are replayed with
-    host distances, followed by the jump from staging to r."""
-    if p.target != r:
-        return VerifyResult(False, None, "partition target mismatch")
-    covered: set[int] = set()
-    for idx, part in enumerate(p.parts):
-        if r in part.vertices:
-            return VerifyResult(False, idx, f"part {idx}: contains the target")
-        if covered & set(part.vertices):
-            return VerifyResult(False, idx, f"part {idx}: overlaps an earlier part (property 2)")
-        covered |= set(part.vertices)
-    if covered != set(range(g.n)) - {r}:
-        return VerifyResult(False, None, "parts do not cover V - target (property 1)")
-    total = sum(sum(part.cups) for part in p.parts)
-    if total != c.size - c.counts[r]:
-        return VerifyResult(False, None, "sub-configurations do not sum to C - r (property 2)")
-    for idx, part in enumerate(p.parts):
-        for v, cups in zip(part.vertices, part.cups):
-            if cups != c.counts[v]:
-                return VerifyResult(
-                    False, idx, f"part {idx}: cup count at {v} disagrees with C (property 2)")
-        pile = sum(part.cups)
-        if g.dist(part.staging, r) != pile:
-            return VerifyResult(
-                False, idx,
-                f"part {idx}: dist(staging, target) != cup total (property 3)")
-        if len(part.moves) % 2:
-            return VerifyResult(
-                False, idx, f"part {idx}: odd-length move list (property 3)")
-        outside = set(part.moves).difference(part.vertices)
-        if outside:
-            return VerifyResult(
-                False, idx, f"part {idx}: a move leaves the part at vertex "
-                f"{min(outside)} (property 3)")
-        counts = [0] * g.n
-        counts[r] = c.counts[r]         # the jump needs a cup to land on
-        for v, cups in zip(part.vertices, part.cups):
-            counts[v] = cups
-        res = verify_plan(g, Plan(g.n, r, [*part.moves, part.staging, r],
-                                  Configuration(tuple(counts))))
-        if not res:
-            return VerifyResult(
-                False, idx, f"part {idx}: {res.reason} (property 3)")
     return VerifyResult(True)

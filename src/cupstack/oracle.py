@@ -73,16 +73,9 @@ def _search(g: Graph, c: Configuration, r: int, budget: int) -> OracleResult:
     cap[r] = total
     if any(start[v] > cap[v] for v in sources):
         return OracleResult(False, None, 1, rejected_by="b")
-    # at[v][k]: the vertices at distance exactly k from v, ascending,
-    # built when v first moves, so a small budget pays for few rows.
-    at: list[Optional[list[list[int]]]] = [None] * n
-
-    def shells(v: int) -> list[list[int]]:
-        at[v] = out = [[] for _ in range(max(dist[v]) + 1)]
-        for u, d in enumerate(dist[v]):
-            out[d].append(u)
-        return out
-
+    # at[v][k]: the vertices at distance exactly k from v, ascending:
+    # v's layering, which `distances` laid out with its row.
+    at = g._layers
     # A state is sum(count * unit[v]); each field holds any pile.
     unit = [1 << total.bit_length() * v for v in range(n)]
     goal = total * unit[r]
@@ -99,7 +92,7 @@ def _search(g: Graph, c: Configuration, r: int, budget: int) -> OracleResult:
             if pile == 0:
                 continue
             rest = key - pile * unit[src]
-            for dst in (at[src] or shells(src))[pile]:
+            for dst in at[src][pile]:
                 have = counts[dst]
                 if have == 0:
                     continue

@@ -1,13 +1,14 @@
 """Shared test helpers: graph corpora, brute-force reference algorithms,
-and the paper's closed forms that only tests use, each checked against
-the library's own decision or chain walk."""
+the stacking-partition verifier, and the paper's closed forms that only
+tests use, each checked against the library's own decision or chain
+walk."""
 
 from __future__ import annotations
 
 import functools
 import random
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import networkx as nx
 import pytest
@@ -16,7 +17,8 @@ from cupstack import decide
 from cupstack.cube import _phi_tables
 from cupstack.ecc2 import plan_from_matching
 from cupstack.families import FamilyError, kneser_graph, multipartite_graph
-from cupstack.graphs import Configuration, Graph, Move, Plan, eccentricity
+from cupstack.graphs import (Configuration, Graph, Move, Plan, VerifyResult,
+                             eccentricity, verify_plan)
 from cupstack.matching import augment, blossom_search
 from cupstack.oracle import oracle_search
 
@@ -140,6 +142,76 @@ def floyd_warshall(g: Graph):
                 if dik + rowk[j] < row[j]:
                     row[j] = dik + rowk[j]
     return dist
+
+
+def diameter(g: Graph) -> int:
+    return max(eccentricity(g, v) for v in range(g.n))
+
+
+# ------------------------------------------------------- stacking partitions
+
+class StackingPart(NamedTuple):
+    vertices: tuple[int, ...]
+    cups: tuple[int, ...]        # cup counts aligned with vertices
+    staging: int                 # vertex the part stacks onto
+    moves: Sequence[int] = ()    # flat [s0, d0, ...] stacking it there
+
+
+class StackingPartition(NamedTuple):
+    target: int
+    parts: tuple[StackingPart, ...]
+
+
+def verify_partition(g: Graph, c: Configuration, r: int,
+                     p: StackingPartition) -> VerifyResult:
+    """Check the defining properties of a stacking partition: (1) the
+    part vertex sets cover V - {r}, (2) the sub-configurations are
+    disjoint and sum to the cups off r, and (3) each part stacks onto its
+    staging vertex, whose distance to r equals its cup total.  For (3)
+    each part's moves must stay inside the part; they are replayed with
+    host distances, followed by the jump from staging to r."""
+    if p.target != r:
+        return VerifyResult(False, None, "partition target mismatch")
+    covered: set[int] = set()
+    for idx, part in enumerate(p.parts):
+        if r in part.vertices:
+            return VerifyResult(False, idx, f"part {idx}: contains the target")
+        if covered & set(part.vertices):
+            return VerifyResult(False, idx, f"part {idx}: overlaps an earlier part (property 2)")
+        covered |= set(part.vertices)
+    if covered != set(range(g.n)) - {r}:
+        return VerifyResult(False, None, "parts do not cover V - target (property 1)")
+    total = sum(sum(part.cups) for part in p.parts)
+    if total != c.size - c.counts[r]:
+        return VerifyResult(False, None, "sub-configurations do not sum to C - r (property 2)")
+    for idx, part in enumerate(p.parts):
+        for v, cups in zip(part.vertices, part.cups):
+            if cups != c.counts[v]:
+                return VerifyResult(
+                    False, idx, f"part {idx}: cup count at {v} disagrees with C (property 2)")
+        pile = sum(part.cups)
+        if g.dist(part.staging, r) != pile:
+            return VerifyResult(
+                False, idx,
+                f"part {idx}: dist(staging, target) != cup total (property 3)")
+        if len(part.moves) % 2:
+            return VerifyResult(
+                False, idx, f"part {idx}: odd-length move list (property 3)")
+        outside = set(part.moves).difference(part.vertices)
+        if outside:
+            return VerifyResult(
+                False, idx, f"part {idx}: a move leaves the part at vertex "
+                f"{min(outside)} (property 3)")
+        counts = [0] * g.n
+        counts[r] = c.counts[r]         # the jump needs a cup to land on
+        for v, cups in zip(part.vertices, part.cups):
+            counts[v] = cups
+        res = verify_plan(g, Plan(g.n, r, [*part.moves, part.staging, r],
+                                  Configuration(tuple(counts))))
+        if not res:
+            return VerifyResult(
+                False, idx, f"part {idx}: {res.reason} (property 3)")
+    return VerifyResult(True)
 
 
 # --------------------------------------------- symmetric chain decomposition

@@ -1,7 +1,8 @@
 """The one decision entry point, `cupstack.decide`, and the rule that no
 other code in the package chooses between the matching test and the
 exhaustive search, and the one owner each of the search budget's
-default, the budget variable and a replay's start."""
+default, the budget variable, a replay's start and the breadth-first
+layering."""
 
 import ast
 import inspect
@@ -107,3 +108,42 @@ def test_one_owner_each_for_the_budget_and_the_plan_start():
     third = functions_holding(lambda node: calls_to({"verify_plan"})(node)
                               and len(node.args) + len(node.keywords) > 2)
     assert third == set()
+
+
+def grows_a_frontier(node) -> bool:
+    """A deque; a loop over a list that appends to that list (a queue kept
+    in a list); or a `while` loop that walks a list and rebinds it (one
+    frontier after another)."""
+    if name_of(node) in ("deque", "popleft"):
+        return True
+    if isinstance(node, ast.For) and isinstance(node.iter, ast.Name):
+        return any(calls_to({"append"})(sub) and name_of(sub.func.value) == node.iter.id
+                   for sub in ast.walk(node))
+    if isinstance(node, ast.While):
+        walked = {sub.iter.id for sub in ast.walk(node)
+                  if isinstance(sub, ast.For) and isinstance(sub.iter, ast.Name)}
+        rebound = {target.id for sub in ast.walk(node) if isinstance(sub, ast.Assign)
+                   for target in ast.walk(sub) if isinstance(target, ast.Name)
+                   and isinstance(target.ctx, ast.Store)}
+        return bool(walked & rebound)
+    return False
+
+
+def groups_by_distance(node) -> bool:
+    """`out[d].append(v)`: a row regrouped into one list per distance."""
+    return (calls_to({"append"})(node) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Subscript))
+
+
+def test_one_owner_for_the_breadth_first_layering():
+    # In the modules that read distances, Graph's layering alone grows a
+    # breadth-first frontier or sorts vertices into per-distance lists.
+    # Two other searches are named here: `dist`'s two-ended search, which
+    # stops where the sides meet and keeps no row, and the barrier
+    # verifier's walk over the components of (G - r) - X, another graph.
+    # (The blossom queue in `matching` is a different search again.)
+    found = {where for where in functions_holding(
+                 lambda node: grows_a_frontier(node) or groups_by_distance(node))
+             if where.split(".")[0] in ("graphs", "oracle", "ecc2")}
+    assert found == {"graphs.Graph._layering", "graphs.Graph.dist",
+                     "graphs.verify_barrier"}

@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (apply_move, floyd_warshall, legal_move,
-                      random_connected_graph)
+from conftest import (StackingPart, StackingPartition, apply_move, diameter,
+                      floyd_warshall, legal_move, random_bare_graph,
+                      random_connected_graph, verify_partition)
+from cupstack import decide
 from cupstack.graphs import (Configuration, CubeBoard, Graph, GraphError,
-                             Move, Plan, StackingPart, StackingPartition,
-                             diameter, eccentricity, format_graph,
-                             parse_graph, shells,
-                             verify_partition, verify_plan)
+                             Move, Plan, eccentricity, format_graph,
+                             parse_graph, shells, verify_plan)
 from cupstack.cube import plan_cube
 from cupstack.families import (FAMILIES, complete_graph, cube_graph,
                                cycle_graph, grid_graph, kneser_graph,
@@ -417,6 +417,57 @@ def test_eccentricity_and_diameter():
     # K(7,3) is the odd graph O_4 one step below it, with diameter three.
     assert diameter(kneser_graph(8, 3)) == 2
     assert diameter(kneser_graph(7, 3)) == 3
+
+
+# ------------------------------------------------------------ the layering
+
+def connected_gnp(seed: int, n: int, p: float) -> Graph:
+    """G(n, p), drawn from `seed` until it is connected."""
+    rng = random.Random(seed)
+    while True:
+        adj = random_bare_graph(rng, n, p)
+        try:
+            return Graph(n, [(u, v) for u, row in enumerate(adj)
+                             for v in row if u < v])
+        except GraphError:
+            pass
+
+
+def test_layering_matches_floyd_warshall(atlas7):
+    # Each source's layers are ascending, split V, and hold the vertices
+    # at each reference distance; `bfs_from`, `shells` and `eccentricity`
+    # answer the same on a graph whose rows are laid out one at a time
+    # (sources in descending order) as on one where `distances` laid out
+    # all of them first.
+    graphs = atlas7 + [grid_graph(9, 8), kneser_graph(7, 3), cycle_graph(11),
+                       connected_gnp(20261021, 60, 0.08)]
+    for g in graphs:
+        ref = floyd_warshall(g)
+        edges = g.edges()
+        fresh, full = Graph(g.n, edges), Graph(g.n, edges)
+        assert full.distances() == ref
+        for s in reversed(range(g.n)):
+            layers = shells(fresh, s)
+            assert sorted(v for layer in layers for v in layer) == list(range(g.n))
+            assert layers == [[v for v in range(g.n) if ref[s][v] == k]
+                              for k in range(max(ref[s]) + 1)]
+            assert fresh.bfs_from(s) == ref[s] == full.bfs_from(s)
+            assert shells(full, s) == layers
+            assert eccentricity(fresh, s) == max(ref[s]) == eccentricity(full, s)
+        assert fresh.distances() == ref
+
+
+def test_layering_is_laid_out_only_where_read():
+    # The connectivity check lays out vertex 0's layering; a decision on
+    # an eccentricity-2 target adds the target's alone, and only
+    # `distances` (here through the oracle) lays out every source's.
+    g = kneser_graph(8, 3)
+    assert [s for s in range(g.n) if g._layers[s] is not None] == [0]
+    assert decide(g, 17).method == "ecc2"
+    assert [s for s in range(g.n) if g._layers[s] is not None] == [0, 17]
+    g = path_graph(5)
+    assert decide(g, 0).method == "oracle"
+    assert None not in g._layers
 
 
 # ------------------------------------------------------------ move semantics
