@@ -61,8 +61,10 @@ def _emit(data: dict, pretty: bool) -> None:
                                 sort_keys=True) + "\n")
 
 
-def _load_graph(path: str) -> graphs.Graph:
-    with open(path, "r", encoding="utf-8") as fh:
+def _load_graph(args) -> graphs.Graph:
+    if args.graph is None:
+        raise ValueError(f"{args.cmd} needs a -g graph file")
+    with open(args.graph, "r", encoding="utf-8") as fh:
         return graphs.parse_graph(fh.read())
 
 
@@ -111,7 +113,7 @@ def _exit_code(stackable) -> int:
 
 def _cmd_decide(args) -> int:
     budget = _budget(args)
-    d = decide(_load_graph(args.graph), args.target, budget)
+    d = decide(_load_graph(args), args.target, budget)
     out = {"target": d.target, "method": d.method, "stackable": d.stackable}
     if d.certificate is not None:
         out["barrier"] = list(d.certificate)
@@ -145,7 +147,7 @@ def _cmd_plan(args) -> int:
                        "plan": None, "complete": False}, args.pretty)
                 return EXIT_NO
     else:
-        g = _load_graph(args.graph)
+        g = _load_graph(args)
     if g is not None:
         if r is None:
             raise ValueError("plan needs a -r target")
@@ -161,7 +163,7 @@ def _cmd_plan(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(plan.to_json())
-        _emit({"target": plan.target, "moves": len(plan.moves),
+        _emit({"target": plan.target, "moves": len(plan.flat) // 2,
                "output": args.output}, args.pretty)
     else:
         _emit(plan.to_json_dict(), args.pretty)
@@ -175,7 +177,7 @@ def _cmd_verify(args) -> int:
     if args.cube is not None:
         board = graphs.CubeBoard(args.cube)
     else:
-        board = _load_graph(args.graph)
+        board = _load_graph(args)
     res = graphs.verify_plan(board, plan)
     out = {"accepted": bool(res)}
     if not res:
@@ -187,7 +189,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     budget = _budget(args)
-    g = _load_graph(args.graph)
+    g = _load_graph(args)
     r = args.target
     initial = graphs.Configuration.all_ones(g.n)
     if args.config is not None:
@@ -215,7 +217,7 @@ def _mask_to_sorted(mask: int) -> list[int]:
 def _cmd_cube(args) -> int:
     from . import cube
     res = cube.plan_cube(args.d)
-    out = {"d": args.d, "moves": len(res.plan.moves),
+    out = {"d": args.d, "moves": len(res.plan.flat) // 2,
            "complete": res.complete, "phases": res.phase_moves,
            "unassigned_labels": [_mask_to_sorted(m) for m in res.unassigned]}
     if args.verify:

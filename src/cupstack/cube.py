@@ -242,9 +242,7 @@ _TRIPLE_FLAT = _compile_gadget(TRIPLE_GADGET)
 def _level4_batches(d: int) -> list[tuple]:
     """`_emit` batches of every level-4 3-cube of the standard split: the
     labels are paired along a revolving-door cycle, with one triple when
-    the count is odd."""
-    if d < 8:
-        raise CubeError("pair and triple gadgets need d >= 8")
+    the count is odd.  It needs d >= 8, as `_split` ensures."""
     dims = (d - 3, d - 2, d - 1)
     cycle = array(PLAN_TYPECODE, (sum(1 << (e - 1) for e in c)
                                   for c in revolving_door(d - 3, 4)))
@@ -256,14 +254,6 @@ def _level4_batches(d: int) -> list[tuple]:
     return [("level4-3cubes", tuple(triple[i:i + 1] for i in range(odd)), dims,
              {0: _TRIPLE_FLAT}, bytes(odd // 3)),
             ("level4-3cubes", (us, vs), dims, {0: _PAIR_FLAT}, bytes(len(us)))]
-
-
-def plan_level4_3cubes(d: int, out: array) -> array:
-    """Append the fragments of every level-4 3-cube of the standard split
-    to `out` and return it."""
-    for _, *batch in _level4_batches(d):
-        _emit(out, *batch)
-    return out
 
 
 # Chain-triple gadgets at levels 9 to 12.  A gather is the flat moves,

@@ -158,6 +158,8 @@ def _stack_lines(parts: Sequence[tuple[Sequence[int], int]],
 def plan_path(n: int, r: int) -> Plan:
     """Each side of r piles up on its far end, whose distance to r equals
     the side's size."""
+    if n < 1:
+        raise FamilyError("path needs n >= 1")
     if not 0 <= r < n:
         raise FamilyError("target out of range")
     line = range(n)

@@ -45,10 +45,9 @@ class Graph:
             tuple(sorted(s)) for s in adj)
         self.labels = tuple(labels) if labels is not None else None
         # Each source's distance row and layers, once `_layering` has run
-        # from it; `_dist` is `_rows` once every source has.
+        # from it.
         self._rows: list[Optional[list[int]]] = [None] * n
         self._layers: list[Optional[list[list[int]]]] = [None] * n
-        self._dist: Optional[list[list[int]]] = None
         if sum(map(len, self._layering(0))) < n:
             raise GraphError("graph is disconnected")
 
@@ -92,11 +91,10 @@ class Graph:
     def distances(self) -> list[list[int]]:
         """The all-pairs matrix: every source's distance row, laid out by
         one `_layering` pass each.  Shared, like `bfs_from`'s rows."""
-        if self._dist is None:
+        if None in self._rows:
             for s in range(self.n):
                 self._layering(s)
-            self._dist = self._rows
-        return self._dist
+        return self._rows
 
     @cached_property
     def _grid_axes(self) -> Optional[tuple[tuple[int, int], ...]]:
@@ -155,12 +153,12 @@ class Graph:
     def dist(self, u: int, v: int) -> int:
         """Hop distance, from the first of five tiers that applies:
 
-        1. the all-pairs matrix, once `distances` has laid out every
-           source's row (a row that `bfs_from` or `shells` memoised
-           alone is not read here);
+        1. u's memoised row, once `_layering` has run from u (the
+           connectivity check runs it from 0, `bfs_from`, `shells` and
+           `eccentricity` from their vertex, `distances` from all);
         2. a closed form when the graph is, edge for edge, a row-major
            grid (paths, `grid_graph`, `cube_graph`; see `_grid_axes`,
-           found once on the first call that finds no matrix): the sum
+           found once on the first call that finds no row): the sum
            over axes of the difference of the two vertices' digits;
         3. a closed form when it is the cycle labelled in order
            (`cycle_graph`; see `_is_cycle`): the shorter way round;
@@ -171,8 +169,9 @@ class Graph:
            frontier by one whole layer; the balls of radius `layers`
            split between u and v stay disjoint until a new layer touches
            the other side, and then the distance is `layers + 1`."""
-        if self._dist is not None:
-            return self._dist[u][v]
+        row = self._rows[u]
+        if row is not None:
+            return row[v]
         axes = self._grid_axes
         if axes is not None:
             d = 0
@@ -335,11 +334,10 @@ class Configuration(_Configuration):
         return Configuration((1,) * n)
 
 
-class MoveView(Sequence):
-    """Read-only sequence of the moves of a flat [s0, d0, s1, d1, ...]
-    array; each Move is made when it is read."""
-
-    __slots__ = ("_flat",)
+class MoveView:
+    """A flat [s0, d0, s1, d1, ...] array's length in moves and its moves
+    as Move objects, made as they are iterated: all that the benchmark
+    reads of `Plan.moves`.  Everything else reads `Plan.flat`."""
 
     def __init__(self, flat: array):
         self._flat = flat
@@ -347,27 +345,9 @@ class MoveView(Sequence):
     def __len__(self) -> int:
         return len(self._flat) >> 1
 
-    def __getitem__(self, i: int) -> Move:
-        if not -len(self) <= i < len(self):
-            raise IndexError("move index out of range")
-        i %= len(self)
-        return Move(self._flat[2 * i], self._flat[2 * i + 1])
-
     def __iter__(self):
         it = iter(self._flat)
         return map(Move, it, it)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MoveView):
-            return self._flat == other._flat
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"MoveView({list(self)!r})"
 
 
 # Plan.to_json formats this many moves per `%`, so the tuple of ints it
@@ -390,8 +370,9 @@ class _Plan(NamedTuple):
 
 class Plan(_Plan):
     """A move sequence stored as one flat int array [s0, d0, s1, d1, ...]
-    of 4 bytes per entry (typecode PLAN_TYPECODE), 8 bytes per move;
-    `moves` reads it as Move objects."""
+    of 4 bytes per entry (typecode PLAN_TYPECODE), 8 bytes per move.
+    Every reader takes the moves from `flat`; `moves` is the benchmark's
+    length-and-iteration view of it."""
     __slots__ = ()
 
     def __new__(cls, n: int, target: int, flat,

@@ -23,6 +23,12 @@ from cupstack.matching import augment, blossom_search
 from cupstack.oracle import oracle_search
 
 
+def pairs(flat) -> list[tuple[int, int]]:
+    """A flat [s0, d0, s1, d1, ...] move array as (src, dst) pairs."""
+    it = iter(flat)
+    return list(zip(it, it))
+
+
 def legal_move(board, c: Configuration, mv: Move) -> bool:
     """A move is legal when both endpoints hold a cup and the pile on the
     source exactly covers the hop distance to the destination: the rule

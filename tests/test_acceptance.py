@@ -332,8 +332,8 @@ def test_acceptance_6_property_suite():
               + [CubeBoard(3).to_graph()]):
         bad += len(set(oracle_stackable(g).values())) != 1
 
-    a = plan_cube(10).plan.moves
-    b = plan_cube(10).plan.moves
+    a = plan_cube(10).plan.flat
+    b = plan_cube(10).plan.flat
     bad += a != b
 
     ok = bad == 0

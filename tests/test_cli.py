@@ -190,6 +190,20 @@ def test_plan_refuses_graph_and_family_together(capsys):
      "error: plan initial must be a list\n"),
     (["decide", "-g", "FILE", "-r", "0"], "n 3\nn 3\ne 0 1\ne 1 2\n", 2, None,
      "error: line 2: duplicate n line\n"),
+    (["decide", "-r", "0"], None, 2, None, "error: decide needs a -g graph file\n"),
+    (["oracle", "-r", "0"], None, 2, None, "error: oracle needs a -g graph file\n"),
+    (["plan", "--family", "grid", "--params", "3", "3", "-r", "9"], None, 2,
+     None, "error: target out of range\n"),
+    (["plan", "--family", "grid", "--params", "0", "3"], None, 2, None,
+     "error: grid dimensions must be positive\n"),
+    (["plan", "--family", "cycle", "--params", "2"], None, 2, None,
+     "error: cycle needs n >= 3\n"),
+    (["plan", "--family", "path", "--params", "0"], None, 2, None,
+     "error: path needs n >= 1\n"),
+    (["gen", "cube", "13"], None, 2, None,
+     "error: explicit cube graphs supported for 0 <= d <= 12\n"),
+    (["verify", "--cube", "-1", "-p", "FILE"], '{"n": 1, "target": 0, "moves": []}',
+     2, None, "error: dimension must be nonnegative\n"),
 ])
 def test_exit_paths(tmp_path, capsys, argv, text, code, out, err):
     # Fixture names resolve under fixtures/; FILE is `text` written out.

@@ -10,13 +10,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import phi, scd
+from conftest import pairs, phi, scd
 from cupstack import cube
 from cupstack.graphs import PLAN_TYPECODE, Configuration, CubeBoard, Plan, verify_plan
 from cupstack.oracle import oracle_search
-from cupstack.cube import (CubeError, _abc_flat, _emit, _LEVEL3_4CUBE_FLAT, _offsets,
-                           _PAIR_FLAT, _solve, _TRIPLE_FLAT, plan_cube,
-                           plan_level4_3cubes, revolving_door)
+from cupstack.cube import (CubeError, _abc_flat, _emit, _LEVEL3_4CUBE_FLAT,
+                           _level4_batches, _offsets, _PAIR_FLAT, _solve,
+                           _TRIPLE_FLAT, plan_cube, revolving_door)
 
 
 # ------------------------------------------------------------ chain machinery
@@ -196,11 +196,6 @@ def replay_fragment(d: int, moves, vertices) -> None:
     assert verify_plan(CubeBoard(d), plan)
 
 
-def pairs(flat) -> list[tuple[int, int]]:
-    it = iter(flat)
-    return list(zip(it, it))
-
-
 def subcube_vertices(base: int, dims) -> list[int]:
     return [base | off for off in _offsets(tuple(dims))]
 
@@ -335,16 +330,24 @@ def test_level3_4cube_gadget():
     replay_fragment(7, moves, subcube_vertices(base, dims))
 
 
+def level4_moves(d: int, out: array) -> array:
+    """Append the fragments of every level-4 3-cube of Q^d's split to
+    `out` and return it."""
+    for _, *batch in _level4_batches(d):
+        _emit(out, *batch)
+    return out
+
+
 def test_level4_gadgets_d8():
     # C(5,4) = 5 level-4 labels: one triple plus one pair.
-    moves = plan_level4_3cubes(8, array(PLAN_TYPECODE))
+    moves = level4_moves(8, array(PLAN_TYPECODE))
     labels = [sum(1 << (e - 1) for e in c) for c in revolving_door(5, 4)]
     vertices = [v for l in labels for v in subcube_vertices(l, (5, 6, 7))]
     replay_fragment(8, moves, vertices)
 
 
 def test_level4_gadgets_d9():
-    moves = plan_level4_3cubes(9, array(PLAN_TYPECODE))
+    moves = level4_moves(9, array(PLAN_TYPECODE))
     labels = [sum(1 << (e - 1) for e in c) for c in revolving_door(6, 4)]
     vertices = [v for l in labels for v in subcube_vertices(l, (6, 7, 8))]
     replay_fragment(9, moves, vertices)
@@ -360,7 +363,7 @@ def test_level4_gadgets_reject_nonadjacent_labels(monkeypatch, order):
     monkeypatch.setattr(cube, "revolving_door", lambda m, k: order)
     out = array(PLAN_TYPECODE)
     with pytest.raises(CubeError, match="not adjacent"):
-        plan_level4_3cubes(9, out)
+        level4_moves(9, out)
     assert len(out) == 0
 
 
@@ -494,7 +497,7 @@ def test_plan_cube_small_range():
     for d in range(0, 11):
         result = plan_cube(d)
         assert result.complete and result.unassigned == ()
-        assert len(result.plan.moves) == (1 << d) - 1
+        assert len(pairs(result.plan.flat)) == (1 << d) - 1
         assert verify_plan(CubeBoard(d), result.plan)
 
 
@@ -510,7 +513,7 @@ def test_plan_cube_rejects_out_of_range():
 
 
 def test_plan_cube_deterministic():
-    assert plan_cube(9).plan.moves == plan_cube(9).plan.moves
+    assert plan_cube(9).plan.flat == plan_cube(9).plan.flat
 
 
 def _fields(result):
@@ -625,7 +628,7 @@ def test_plan_cube_memory_per_move():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12 * len(result.plan.moves)
+    assert peak < 12 * (len(result.plan.flat) // 2)
 
 
 def test_plan_cube_result_fields_pinned():

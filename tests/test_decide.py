@@ -1,8 +1,8 @@
 """The one decision entry point, `cupstack.decide`, and the rule that no
 other code in the package chooses between the matching test and the
 exhaustive search, and the one owner each of the search budget's
-default, the budget variable, a replay's start and the breadth-first
-layering."""
+default, the budget variable, a replay's start, the breadth-first
+layering and the view of a plan's moves."""
 
 import ast
 import inspect
@@ -147,3 +147,12 @@ def test_one_owner_for_the_breadth_first_layering():
              if where.split(".")[0] in ("graphs", "oracle", "ecc2")}
     assert found == {"graphs.Graph._layering", "graphs.Graph.dist",
                      "graphs.verify_barrier"}
+
+
+def test_plans_are_read_from_flat():
+    # Every reader in the package takes a plan's moves from `Plan.flat`;
+    # `Plan.moves`, the benchmark's view, alone builds a `MoveView`.
+    reads = functions_holding(lambda node: isinstance(node, ast.Attribute)
+                              and node.attr == "moves")
+    views = functions_holding(calls_to({"MoveView"}))
+    assert (reads, views) == (set(), {"graphs.Plan.moves"})

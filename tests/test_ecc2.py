@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import random_connected_graph
+from conftest import pairs, random_connected_graph
 from cupstack import decide
 from cupstack.graphs import (Configuration, Graph, shells, verify_barrier,
                              verify_plan)
@@ -57,9 +57,9 @@ def test_plan_from_matching_c5():
     # orientation.
     c5 = cycle_graph(5)
     chord = Graph(5, [*c5.edges(), (1, 4)])
-    for g, pairs in ((c5, [(2, 3)]), (chord, {(2, 3), (4, 1)})):
-        plan = plan_from_matching(g, 0, pairs)
-        assert [(m.src, m.dst) for m in plan.moves] == [
+    for g, matched in ((c5, [(2, 3)]), (chord, {(2, 3), (4, 1)})):
+        plan = plan_from_matching(g, 0, matched)
+        assert pairs(plan.flat) == [
             (2, 3), (3, 0), (1, 0), (4, 0)]
         assert verify_plan(g, plan)
 
@@ -67,7 +67,7 @@ def test_plan_from_matching_c5():
 def test_plan_from_matching_k3_dominating():
     g = complete_graph(3)
     plan = plan_from_matching(g, 0, [])
-    assert [(m.src, m.dst) for m in plan.moves] == [(1, 0), (2, 0)]
+    assert pairs(plan.flat) == [(1, 0), (2, 0)]
     assert verify_plan(g, plan)
 
 

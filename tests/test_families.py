@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import kneser_stackable, multipartite_decide, plan_ham_ecc2
+from conftest import (kneser_stackable, multipartite_decide, pairs,
+                      plan_ham_ecc2)
 from cupstack import decide
 from cupstack.graphs import Configuration, verify_plan
 from cupstack.families import (FamilyError, _endpoint_moves, complete_graph,
@@ -97,28 +98,28 @@ def test_long_path_plans_need_no_recursion():
     n = 20000            # far past the interpreter's recursion limit
     for plan in (plan_path(n, n // 3), plan_cycle(n, 5), plan_spider([n - 1]),
                  plan_grid(1, n, (0, 7))):
-        assert plan.n == n and len(plan.moves) == n - 1
+        assert plan.n == n and len(pairs(plan.flat)) == n - 1
 
 
 def test_path_endpoint_examples():
-    assert plan_path(1, 0).moves == ()
-    assert [(m.src, m.dst) for m in plan_path(3, 0).moves] == [
+    assert pairs(plan_path(1, 0).flat) == []
+    assert pairs(plan_path(3, 0).flat) == [
         (1, 2), (2, 0)]
-    assert [(m.src, m.dst) for m in plan_path(4, 0).moves] == [
+    assert pairs(plan_path(4, 0).flat) == [
         (2, 1), (1, 3), (3, 0)]
 
 
 def test_path_endpoint_uses_minimum_moves():
     for n in range(1, 30):
         plan = plan_path(n, 0)
-        assert len(plan.moves) == max(n - 1, 0)
+        assert len(pairs(plan.flat)) == max(n - 1, 0)
         assert verify_plan(path_graph(n), plan)
 
 
 def test_path_interior_target():
     plan = plan_path(5, 2)
-    assert (0, 2) in [(m.src, m.dst) for m in plan.moves]
-    assert (4, 2) in [(m.src, m.dst) for m in plan.moves]
+    assert (0, 2) in pairs(plan.flat)
+    assert (4, 2) in pairs(plan.flat)
     assert verify_plan(path_graph(5), plan)
 
 
@@ -138,7 +139,7 @@ def test_cycles_all_targets_small():
 
 def test_cycle_c4_three_moves():
     plan = plan_cycle(4, 0)
-    assert len(plan.moves) == 3
+    assert len(pairs(plan.flat)) == 3
     assert verify_plan(cycle_graph(4), plan)
     assert oracle_search(cycle_graph(4), Configuration.all_ones(4), 0).decision
 
@@ -155,7 +156,7 @@ def test_dominating_plans():
     # other vertex walks its cup in, in vertex order.
     for g, r in ((complete_graph(4), 2), (star_graph(5), 0), (cycle_graph(3), 1)):
         plan = decide(g, r).plan
-        assert list(plan.moves) == [(z, r) for z in range(g.n) if z != r]
+        assert pairs(plan.flat) == [(z, r) for z in range(g.n) if z != r]
         assert verify_plan(g, plan)
     assert decide(star_graph(3), 1).plan is None
 

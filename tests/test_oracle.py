@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import oracle_stackable, random_connected_graph
+from conftest import oracle_stackable, pairs, random_connected_graph
 from cupstack.graphs import Configuration, CubeBoard, verify_plan
 from cupstack.families import (complete_graph, cycle_graph, grid_graph,
                                multipartite_graph, path_graph, star_graph)
@@ -40,14 +40,14 @@ def test_k42_big_side_false():
 def test_plan_p4_three_moves():
     g = path_graph(4)
     plan = oracle_search(g, Configuration.all_ones(4), 0).plan
-    assert len(plan.moves) == 3
+    assert len(pairs(plan.flat)) == 3
     assert verify_plan(g, plan)
 
 
 def test_plan_single_vertex_empty():
     g = path_graph(1)
     plan = oracle_search(g, Configuration((1,)), 0).plan
-    assert plan.moves == ()
+    assert pairs(plan.flat) == []
 
 
 def test_plan_c4_accepted():
@@ -107,7 +107,7 @@ def test_oracle_is_deterministic():
     g = complete_graph(4)
     a = oracle_search(g, Configuration.all_ones(4), 1)
     b = oracle_search(g, Configuration.all_ones(4), 1)
-    assert a.plan.moves == b.plan.moves and a.states == b.states
+    assert a.plan.flat == b.plan.flat and a.states == b.states
 
 
 def reference_stackable(g, counts, r):

@@ -103,6 +103,6 @@ def test_deterministic_reruns():
     b = oracle_search(h, Configuration.all_ones(6), 0)
     assert a.decision == b.decision and a.states == b.states
     if a.plan is not None:
-        assert a.plan.moves == b.plan.moves
+        assert a.plan.flat == b.plan.flat
     assert scd(8) == scd(8)
     assert revolving_door(8, 4) == revolving_door(8, 4)
