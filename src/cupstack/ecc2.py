@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Optional
 
-from .graphs import Graph, Plan, shells
+from .graphs import Graph, Plan, shells, stack_parts
 from .matching import augment, blossom_search
 
 
@@ -61,25 +61,17 @@ def ecc2_decide(g: Graph, r: int) -> Ecc2Witness:
 
 def plan_from_matching(g: Graph, r: int, pairs: Iterable[tuple[int, int]]) -> Plan:
     """Turn an N_2(r)-saturating matching, given as pairs in any order,
-    into an explicit plan: matched pairs, in ascending order, feed two
-    cups to r over distance 2, everything else walks in.  Dominating
-    targets are the degenerate case with an empty shell."""
+    into an explicit plan by `stack_parts`: each matched pair (x, y) with
+    y in N_2(r), in ascending order, is the line (x, y) staged at y, and
+    every other vertex but r is a line of its own.  Dominating targets
+    are the degenerate case with an empty shell."""
     n2 = set(_shell2(g, r))
-    moves: list[int] = []
-    used: set[int] = {r}
-    for x, y in sorted({(min(p), max(p)) for p in pairs}):
-        if y in n2:
-            pass
-        elif x in n2:
-            x, y = y, x
-        else:
-            continue   # pair without a distance-2 endpoint; handled as singles
-        moves += (x, y, y, r)
-        used.add(x)
-        used.add(y)
-    singles = [z for z in range(g.n) if z not in used]
-    for z in singles:
-        if z in n2:
-            raise ValueError(f"vertex {z} in N_2({r}) is not matched")
-        moves += (z, r)
-    return Plan(g.n, r, moves)
+    # A pair without a distance-2 end is left to two singles.
+    lines = [((x, y) if y in n2 else (y, x), 1)
+             for x, y in sorted({(min(p), max(p)) for p in pairs})
+             if x in n2 or y in n2]
+    paired = {v for line, _ in lines for v in line}
+    if not n2 <= paired:
+        raise ValueError(f"vertex {min(n2 - paired)} in N_2({r}) is not matched")
+    lines += [((z,), 0) for z in range(g.n) if z != r and z not in paired]
+    return Plan(g.n, r, stack_parts(lines, r))

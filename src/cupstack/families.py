@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import accumulate, combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .graphs import CubeBoard, Graph, Plan
+from .graphs import CubeBoard, Graph, Plan, stack_parts
 
 
 class FamilyError(ValueError):
@@ -27,10 +27,14 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def spider_graph(legs: Sequence[int]) -> Graph:
-    """Spider with root 0 and legs of the given lengths, numbered leg by leg."""
+def _check_legs(legs: Sequence[int]) -> None:
     if not legs or any(l < 1 for l in legs):
         raise FamilyError("legs must be positive lengths")
+
+
+def spider_graph(legs: Sequence[int]) -> Graph:
+    """Spider with root 0 and legs of the given lengths, numbered leg by leg."""
+    _check_legs(legs)
     edges = []
     labels: list[object] = ["root"]
     nxt = 1
@@ -69,6 +73,8 @@ def multipartite_graph(sizes: Sequence[int]) -> Graph:
 
 
 def star_graph(m: int) -> Graph:
+    if m < 1:
+        raise FamilyError("star needs m >= 1")
     return multipartite_graph([1, m])
 
 
@@ -117,44 +123,6 @@ def cube_graph(d: int) -> Graph:
 
 # ----------------------------------------------------------------- planners
 
-def _endpoint_moves(seq: Sequence[int]) -> list[int]:
-    """Flat moves stacking a fresh all-ones path, given as a vertex
-    sequence, onto its first vertex.  Requires dist(seq[i], seq[j]) =
-    |i - j| in the host.
-
-    A window is stacked onto its near end by first stacking the rest of
-    it onto its far end, then jumping that pile back; so the windows
-    alternate direction, each one shorter at the near end.  The moves are
-    written back to front, the outermost window's jump last."""
-    out = [0] * max(2 * len(seq) - 2, 0)
-    near, far = 0, len(seq) - 1
-    i = len(out)
-    while i:
-        i -= 2
-        out[i], out[i + 1] = seq[far], seq[near]
-        near, far = far, near + (1 if far > near else -1)
-    return out
-
-
-def _stack_lines(parts: Sequence[tuple[Sequence[int], int]],
-                 target: int) -> list[int]:
-    """Flat moves stacking fresh all-ones lines onto target.  A part
-    (line, stage) is an isometric path with dist(line[stage], target) =
-    len(line), so it is one part of a stacking partition: each side of the
-    stage piles up on its far end and jumps to line[stage], and the whole
-    pile then jumps to the target.  Empty lines are skipped."""
-    moves: list[int] = []
-    for line, stage in parts:
-        if not line:
-            continue
-        for side in (line[:stage], line[:stage:-1]):
-            if side:
-                moves += _endpoint_moves(side)
-                moves += (side[0], line[stage])
-        moves += (line[stage], target)
-    return moves
-
-
 def plan_path(n: int, r: int) -> Plan:
     """Each side of r piles up on its far end, whose distance to r equals
     the side's size."""
@@ -163,28 +131,28 @@ def plan_path(n: int, r: int) -> Plan:
     if not 0 <= r < n:
         raise FamilyError("target out of range")
     line = range(n)
-    return Plan(n, r, _stack_lines([(line[:r], 0), (line[:r:-1], 0)], r))
+    return Plan(n, r, stack_parts([(line[:r], 0), (line[:r:-1], 0)], r))
 
 
 def plan_cycle(n: int, r: int) -> Plan:
     """Cut the cycle open at the far side of r and stack the resulting
     path onto r, as `plan_path` does."""
-    if not 0 <= r < n:
-        raise FamilyError("target out of range")
     if n < 3:
         raise FamilyError("cycle needs n >= 3")
+    if not 0 <= r < n:
+        raise FamilyError("target out of range")
     m = n // 2
     arc = [(r + i) % n for i in range(m, m - n, -1)]   # r sits at index m
-    return Plan(n, r, _stack_lines([(arc[:m], 0), (arc[:m:-1], 0)], r))
+    return Plan(n, r, stack_parts([(arc[:m], 0), (arc[:m:-1], 0)], r))
 
 
 def plan_spider(legs: Sequence[int]) -> Plan:
     """Stack a spider onto its root: each leg piles up on its leaf, then
     the whole pile jumps the leg length back to the root."""
-    g = spider_graph(legs)
+    _check_legs(legs)
     ends = list(accumulate(legs, initial=0))   # leg i is ends[i]+1..ends[i+1]
     parts = [(range(hi, lo, -1), 0) for lo, hi in zip(ends, ends[1:])]
-    return Plan(g.n, 0, _stack_lines(parts, 0))
+    return Plan(1 + ends[-1], 0, stack_parts(parts, 0))
 
 
 def plan_grid(m: int, k: int, r: tuple[int, int]) -> Plan:
@@ -196,8 +164,7 @@ def plan_grid(m: int, k: int, r: tuple[int, int]) -> Plan:
     if not (0 <= a < m and 0 <= b < k):
         raise FamilyError("target out of range")
     if m == 1 or k == 1:
-        plan = plan_path(max(m, k), a if k == 1 else b)
-        return Plan(m * k, plan.target, plan.flat)
+        return plan_path(max(m, k), a if k == 1 else b)
     target = b * m + a
     # The arms E, N, W, S as (index step, length): vertex (x, y) has index
     # y*m + x, so a step along an arm adds a constant.
@@ -222,7 +189,7 @@ def plan_grid(m: int, k: int, r: tuple[int, int]) -> Plan:
     # Then each arm, less a lent far cell, piles up on its far end.
     parts += [([target + i * d for i in range(length - gone, 0, -1)], 0)
               for (d, length), gone in zip(arms, lent)]
-    return Plan(m * k, target, _stack_lines(parts, target))
+    return Plan(m * k, target, stack_parts(parts, target))
 
 
 # ------------------------------------------------------------------ registry

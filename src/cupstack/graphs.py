@@ -308,6 +308,44 @@ def eccentricity(g: Graph, v: int) -> int:
     return len(g._layering(v)) - 1
 
 
+def _endpoint_moves(seq: Sequence[int]) -> list[int]:
+    """Flat moves stacking a fresh all-ones path, given as a vertex
+    sequence, onto its first vertex.  Requires dist(seq[i], seq[j]) =
+    |i - j| in the host.
+
+    A window is stacked onto its near end by first stacking the rest of
+    it onto its far end, then jumping that pile back; so the windows
+    alternate direction, each one shorter at the near end.  The moves are
+    written back to front, the outermost window's jump last."""
+    out = [0] * max(2 * len(seq) - 2, 0)
+    near, far = 0, len(seq) - 1
+    i = len(out)
+    while i:
+        i -= 2
+        out[i], out[i + 1] = seq[far], seq[near]
+        near, far = far, near + (1 if far > near else -1)
+    return out
+
+
+def stack_parts(parts: Iterable[tuple[Sequence[int], int]],
+                target: int) -> list[int]:
+    """Flat moves stacking fresh all-ones lines onto target, for every
+    partition planner.  A part (line, stage) is an isometric path with
+    dist(line[stage], target) = len(line), so it is one part of a stacking
+    partition: each side of the stage, with the stage, is stacked onto the
+    stage by `_endpoint_moves`, and the whole pile then jumps to the
+    target.  Empty lines are skipped."""
+    moves: list[int] = []
+    for line, stage in parts:
+        if line:
+            if stage:
+                moves += _endpoint_moves(line[stage::-1])
+            if stage + 1 < len(line):
+                moves += _endpoint_moves(line[stage:])
+            moves += (line[stage], target)
+    return moves
+
+
 class Move(NamedTuple):
     src: int
     dst: int

@@ -204,6 +204,11 @@ def test_plan_refuses_graph_and_family_together(capsys):
      "error: explicit cube graphs supported for 0 <= d <= 12\n"),
     (["verify", "--cube", "-1", "-p", "FILE"], '{"n": 1, "target": 0, "moves": []}',
      2, None, "error: dimension must be nonnegative\n"),
+    (["plan", "--family", "cycle", "--params", "0"], None, 2, None,
+     "error: cycle needs n >= 3\n"),
+    (["plan", "--family", "cycle", "--params", "2", "-r", "5"], None, 2, None,
+     "error: cycle needs n >= 3\n"),
+    (["gen", "star", "0"], None, 2, None, "error: star needs m >= 1\n"),
 ])
 def test_exit_paths(tmp_path, capsys, argv, text, code, out, err):
     # Fixture names resolve under fixtures/; FILE is `text` written out.

@@ -2,7 +2,8 @@
 other code in the package chooses between the matching test and the
 exhaustive search, and the one owner each of the search budget's
 default, the budget variable, a replay's start, the breadth-first
-layering and the view of a plan's moves."""
+layering, the view of a plan's moves and the rule that turns the parts of
+a stacking partition into moves."""
 
 import ast
 import inspect
@@ -156,3 +157,25 @@ def test_plans_are_read_from_flat():
                               and node.attr == "moves")
     views = functions_holding(calls_to({"MoveView"}))
     assert (reads, views) == (set(), {"graphs.Plan.moves"})
+
+
+def writes_a_move_pair(node) -> bool:
+    """`moves += (src, dst, ...)`, a literal added onto a move list, or
+    `out[i], out[i + 1] = src, dst`, two slots filled at once."""
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+        return isinstance(node.value, (ast.Tuple, ast.List))
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Tuple) and len(target.elts) > 1
+        and all(isinstance(elt, ast.Subscript) for elt in target.elts)
+        for target in node.targets)
+
+
+def test_one_writer_for_stacking_partition_plans():
+    # The family planners and the eccentricity-2 plan list the parts of a
+    # stacking partition; `graphs.stack_parts` alone turns them into moves.
+    defined = functions_holding(lambda node: isinstance(node, ast.FunctionDef)
+                                and node.name in ("stack_parts", "_endpoint_moves"))
+    writers = {where for where in functions_holding(writes_a_move_pair)
+               if where.split(".")[0] in ("families", "ecc2")}
+    assert (defined, writers) == ({"graphs.stack_parts", "graphs._endpoint_moves"},
+                                  set())

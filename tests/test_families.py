@@ -6,11 +6,14 @@ from itertools import combinations
 
 import pytest
 
-from conftest import (kneser_stackable, multipartite_decide, pairs,
-                      plan_ham_ecc2)
-from cupstack import decide
-from cupstack.graphs import Configuration, verify_plan
-from cupstack.families import (FamilyError, _endpoint_moves, complete_graph,
+from conftest import (StackingPart, StackingPartition, kneser_stackable,
+                      multipartite_decide, pairs, plan_ham_ecc2,
+                      verify_partition)
+from cupstack import decide, ecc2, families
+from cupstack.ecc2 import ecc2_decide, plan_from_matching
+from cupstack.graphs import (Configuration, _endpoint_moves, eccentricity,
+                             stack_parts, verify_plan)
+from cupstack.families import (FamilyError, complete_graph,
                                cycle_graph, family, grid_graph,
                                johnson_graph, kneser_graph, multipartite_graph,
                                path_graph, petersen_graph, plan_cycle,
@@ -147,6 +150,71 @@ def test_cycle_c4_three_moves():
 def test_spider_plans():
     for legs in ([1, 2, 2], [3, 3, 3], [1, 1, 1, 1], [2, 5, 3, 1]):
         assert verify_plan(spider_graph(legs), plan_spider(legs))
+
+
+def test_spider_plans_build_no_graph(monkeypatch):
+    def refuse(legs):
+        raise AssertionError("plan_spider built the spider graph")
+    monkeypatch.setattr(families, "spider_graph", refuse)
+    plan = plan_spider([3, 1, 2])
+    assert (plan.n, plan.target) == (7, 0)
+    assert verify_plan(spider_graph([3, 1, 2]), plan)
+    for legs in ([], [2, 0]):
+        with pytest.raises(FamilyError, match="legs must be positive lengths"):
+            plan_spider(legs)
+
+
+# ------------------------------------------------------- stacking partitions
+
+def as_partition(parts, r) -> StackingPartition:
+    """The lines a planner hands `stack_parts`, as a stacking partition of
+    the all-ones configuration: a part's moves are its own `stack_parts`
+    less the final jump to r.  Empty lines are no part."""
+    return StackingPartition(r, tuple(
+        StackingPart(tuple(line), (1,) * len(line), line[stage],
+                     stack_parts([(line, stage)], r)[:-2])
+        for line, stage in parts if line))
+
+
+def test_planner_parts_are_stacking_partitions(monkeypatch, atlas7):
+    calls = []
+
+    def record(parts, target):
+        calls.append((parts, target))
+        return stack_parts(parts, target)
+
+    for module in (families, ecc2):
+        monkeypatch.setattr(module, "stack_parts", record)
+    hosts = []              # the graph of each recorded call, in order
+    for n in (1, 2, 7, 8):
+        for r in range(n):
+            plan_path(n, r)
+            hosts.append(path_graph(n))
+    for n in (3, 7, 8):
+        for r in range(n):
+            plan_cycle(n, r)
+            hosts.append(cycle_graph(n))
+    # Square, non-square and one-row grids, at every target.
+    for m, k in ((4, 4), (5, 3), (2, 6), (6, 1), (1, 5)):
+        for y in range(k):
+            for x in range(m):
+                plan_grid(m, k, (x, y))
+                hosts.append(grid_graph(m, k))
+    for legs in ([1], [3, 1, 2], [2, 2, 2, 2]):
+        plan_spider(legs)
+        hosts.append(spider_graph(legs))
+    for g in atlas7:
+        for r in range(g.n):
+            if eccentricity(g, r) == 2:
+                w = ecc2_decide(g, r)
+                if w.decision:
+                    plan_from_matching(g, r, w.matching)
+                    hosts.append(g)
+    assert len(calls) == len(hosts)
+    for g, (parts, r) in zip(hosts, calls):
+        res = verify_partition(g, Configuration.all_ones(g.n), r,
+                               as_partition(parts, r))
+        assert res, (g.edges(), r, parts, res)
 
 
 # ----------------------------------------------------------- dominating plans
