@@ -142,10 +142,6 @@ def _cmd_plan(args) -> int:
             g = fam.generate(*args.params)
         else:
             plan = fam.plan(args.params, r)
-            if plan is None:
-                _emit({"family": args.family, "params": list(args.params),
-                       "plan": None, "complete": False}, args.pretty)
-                return EXIT_NO
     else:
         g = _load_graph(args)
     if g is not None:
@@ -217,6 +213,9 @@ def _mask_to_sorted(mask: int) -> list[int]:
 def _cmd_cube(args) -> int:
     from . import cube
     res = cube.plan_cube(args.d)
+    # "complete" is always true and "unassigned_labels" always empty; the
+    # benchmark reads the former, and both go with its next change
+    # (ROADMAP items 8 and 14).
     out = {"d": args.d, "moves": len(res.plan.flat) // 2,
            "complete": res.complete, "phases": res.phase_moves,
            "unassigned_labels": [_mask_to_sorted(m) for m in res.unassigned]}

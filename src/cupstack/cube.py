@@ -13,9 +13,12 @@ split into three spiders; level-4 3-cubes work in pairs or triples of
 adjacent labels along a revolving-door cycle; level-9-and-up 3-cubes
 team up in chain triples (A, phi(A), phi(phi(A))) from a symmetric chain
 decomposition, shuttling single cups between cubes until every pile
-matches a weight.  All gadgets are fixed tables: the chain-triple ones
+matches a weight; a level-9 A whose chain stops at phi(A) (only at
+d = 20) takes as its third cube a free level-7 neighbour of phi(A),
+matched to it by Kuhn's augmenting paths.  Every plan, d = 0 to 20, is
+complete.  All gadgets are fixed tables: the chain-triple ones
 were found by exhaustive search on Q^3, which tests/test_cube.py repeats,
-so building a plan runs no search and this module needs no `oracle`.
+so building a plan runs no game search and this module needs no `oracle`.
 
 Every fragment is a cached template of flat moves [s0, d0, s1, d1, ...]
 over relative vertex indices: index i * 2^k + rel is the vertex at
@@ -308,8 +311,11 @@ def _abc_flat(l: int) -> tuple[int, ...]:
 class CubePlanResult(NamedTuple):
     d: int
     plan: Plan
+    # Every plan is complete: `complete` is always True and `unassigned`
+    # always ().  The benchmark still reads both; they go with its next
+    # change (ROADMAP items 8 and 14).
     complete: bool
-    unassigned: tuple[int, ...]     # 3-cube label masks left without moves
+    unassigned: tuple[int, ...]
     phase_moves: dict
 
 
@@ -323,48 +329,92 @@ _UPPER = bytes(range(1, 13)) + bytes([_GONE]) * 244
 _BASE = b"\0\1\1\1\0\1\1\1\1" + bytes(247)      # levels 1-3 and 5-8
 
 
-def _abc_loop(pool: bytearray, dims: tuple[int, ...]) -> tuple[list[tuple], list[int]]:
+def _abc_loop(pool: bytearray, dims: tuple[int, ...]) -> list[tuple]:
     """`_emit` batches of chain triples from the pool, one per level from
     12 (the highest in the pool) down to 9, highest label first, marking
-    the labels they take _GONE; and the labels that cannot join any
-    triple (the reported gap)."""
+    the labels they take _GONE.  A level-9 label whose chain is only
+    {level 8, level 9} (d = 20 has 4,862) borrows its third cube from
+    `_borrow_level7`, in one more batch after the others."""
     first, second = _phi_tables(len(pool).bit_length() - 1)
-    batches: list[tuple] = []
-    unassigned: list[int] = []
+    triples: list[tuple[int, array]] = []
+    lonely = array(PLAN_TYPECODE)             # a, b of each such label in turn
     for level in range(12, 8, -1):
         abc = array(PLAN_TYPECODE)            # a, b, c of each triple in turn
         a = len(pool)
         while (a := pool.rfind(level, 0, a)) >= 0:
             pool[a] = _GONE
-            if not second[a]:
-                unassigned.append(a)
-                continue
             b = a ^ 1 << first[a] - 1
+            if not second[a]:
+                lonely.extend((a, b))
+                continue
             c = b ^ 1 << second[a] - 1
             if pool[b] != level - 1 or pool[c] != level - 2:
                 raise AssertionError("chain neighbors missing from the pool")
             pool[b] = pool[c] = _GONE
             abc.extend((a, b, c))
-        batches.append(("chain-triples", (abc[::3], abc[1::3], abc[2::3]), dims,
-                        {0: _abc_flat(level)}, bytes(len(abc) // 3)))
-    return batches, sorted(unassigned)
+        triples.append((level, abc))
+    if lonely:
+        triples.append((9, _borrow_level7(pool, lonely)))
+    return [("chain-triples", (abc[::3], abc[1::3], abc[2::3]), dims,
+             {0: _abc_flat(level)}, bytes(len(abc) // 3)) for level, abc in triples]
+
+
+def _borrow_level7(pool: bytearray, lonely: array) -> array:
+    """a, b, c of each triple in turn for the level-9 labels a whose chain
+    ends at b = phi(a), given as a, b in turn, marking b and c _GONE: c
+    is a level-7 neighbour of b (b less one bit) still in the pool, one
+    per b.  Each b in turn takes the end of a shortest augmenting path
+    (Kuhn), found breadth-first: its first free neighbour when it has
+    one, else a taken c whose b moves on to another c, and so on.  The
+    matching lives in int arrays, not in boxed ints, which would stay on
+    the heap that a plan of a million moves then grows from."""
+    bs = lonely[1::2]
+    bits = [1 << i for i in range(len(pool).bit_length() - 1)]
+    owner = array(PLAN_TYPECODE, (-1,)) * len(pool)   # index of the b each c serves
+    mate = array(PLAN_TYPECODE, (-1,)) * len(bs)      # c of each b
+    for i in range(len(bs)):
+        if pool[bs[i]] != 8:
+            raise AssertionError("chain bottom missing from the pool")
+        came, queue, end = {}, [i], -1                # came[c]: the b that reached c
+        for j in queue:
+            b = bs[j]
+            for bit in bits:
+                c = b ^ bit
+                if b & bit and pool[c] == 7 and c not in came:
+                    came[c] = j
+                    if owner[c] < 0:
+                        end = c
+                        break
+                    queue.append(owner[c])
+            if end >= 0:
+                break
+        if end < 0:
+            raise CubeError(f"no level-7 cube left for level-9 label {lonely[2 * i]}")
+        while end >= 0:                       # shift each c on the path to its new b
+            j = came[end]
+            owner[end], mate[j], end = j, end, mate[j]
+    abc = array(PLAN_TYPECODE)
+    for a, b, c in zip(lonely[::2], bs, mate):
+        pool[b] = pool[c] = _GONE
+        abc.extend((a, b, c))
+    return abc
 
 
 @lru_cache(maxsize=None)
-def _split(d: int) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+def _split(d: int) -> tuple[tuple, ...]:
     """Everything of plan_cube(d) that depends on d alone: its `_emit`
     batches in order, each (phase, label columns, dims, templates,
-    picks), and the unassigned labels.  Nothing mutates them.  Batches
-    without fragments are left out; the direct batch of d = 0 has one
-    fragment of no moves, so its phase reads 0."""
+    picks).  Nothing mutates them.  Batches without fragments are left
+    out; the direct batch of d = 0 has one fragment of no moves, so its
+    phase reads 0."""
     one = lambda label: (array(PLAN_TYPECODE, (label,)),)
     if d <= 6:
-        return (("direct", one(0), tuple(range(d)), {0: _solve(d, 0)}, b"\0"),), ()
+        return (("direct", one(0), tuple(range(d)), {0: _solve(d, 0)}, b"\0"),)
     if d == 7:
         return tuple(("low-4cubes", one(m), (3, 4, 5, 6), {0: _solve(4, m.bit_count())}, b"\0")
                      if m.bit_count() <= 2 else
                      ("level3-4cube", one(m), (3, 4, 5, 6), {0: _LEVEL3_4CUBE_FLAT}, b"\0")
-                     for m in range(8)), ()
+                     for m in range(8))
     # levels[m] is the level of 4-cube m, built by doubling: labels
     # 2^j..2^(j+1)-1 are those below 2^j with bit j set.  Chain triples
     # start at d = 12, the first d with a level-9 3-cube.
@@ -377,32 +427,29 @@ def _split(d: int) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     batches = [("high-4cubes", (array(PLAN_TYPECODE, compress(range(len(levels)), high)),),
                 dims4, {l: _solve(4, l) for l in range(12, 17)}, bytes(compress(levels, high)))]
     pool = bytearray(levels.translate(_LOWER) + levels.translate(_UPPER))
-    triples, unassigned = _abc_loop(pool, dims3)
+    batches += _abc_loop(pool, dims3) + _level4_batches(d)
     # Label 0 first (its template is shorter), then the rest but level 4,
     # which the gadgets cover.
     base = pool.translate(_BASE)
-    batches += triples + _level4_batches(d) + [
+    batches += [
         ("base-3cubes", one(0), dims3, {0: _solve(3, 0)}, b"\0"),
         ("base-3cubes", (array(PLAN_TYPECODE, compress(range(len(pool)), base)),), dims3,
          {l: _solve(3, l) for l in (1, 2, 3, 5, 6, 7, 8)}, bytes(compress(pool, base)))]
-    return tuple(batch for batch in batches if batch[-1]), tuple(unassigned)
+    return tuple(batch for batch in batches if batch[-1])
 
 
 def plan_cube(d: int) -> CubePlanResult:
     """Plan stacking the all-ones Q^d onto the zero vertex, written into
-    one flat move array.  Complete for d <= 19; for d = 20 the level-9
-    3-cubes of the standard split whose symmetric chain is only {level 8,
-    level 9} have no third cube to team up with and are reported as
-    unassigned.  The split (`_split`) is built once per d; every call
-    runs its batches into a fresh array and counts their moves per phase
-    into a fresh dict."""
+    one flat move array: complete, 2^d - 1 moves, for every 0 <= d <= 20.
+    The split (`_split`) is built once per d; every call runs its batches
+    into a fresh array and counts their moves per phase into a fresh
+    dict."""
     if not 0 <= d <= 20:
         raise CubeError("plans are only constructed for 0 <= d <= 20")
-    batches, unassigned = _split(d)
     out = array(PLAN_TYPECODE)
     phases: dict[str, int] = {}
-    for name, *batch in batches:
+    for name, *batch in _split(d):
         start = len(out)
         _emit(out, *batch)
         phases[name] = phases.get(name, 0) + (len(out) - start) // 2
-    return CubePlanResult(d, Plan(1 << d, 0, out), not unassigned, unassigned, phases)
+    return CubePlanResult(d, Plan(1 << d, 0, out), True, (), phases)

@@ -64,12 +64,21 @@ def plan_from_matching(g: Graph, r: int, pairs: Iterable[tuple[int, int]]) -> Pl
     into an explicit plan by `stack_parts`: each matched pair (x, y) with
     y in N_2(r), in ascending order, is the line (x, y) staged at y, and
     every other vertex but r is a line of its own.  Dominating targets
-    are the degenerate case with an empty shell."""
+    are the degenerate case with an empty shell.  A pair that is not an
+    edge of G - r, or that shares a vertex with another, is a ValueError
+    naming it."""
     n2 = set(_shell2(g, r))
+    pairs = sorted({(min(p), max(p)) for p in pairs})
+    seen: set[int] = set()
+    for x, y in pairs:
+        if not 0 <= x < y < g.n or r in (x, y) or y not in g.adj[x]:
+            raise ValueError(f"pair ({x}, {y}) is not an edge of G - {r}")
+        if x in seen or y in seen:
+            raise ValueError(f"pair ({x}, {y}) shares a vertex with another pair")
+        seen |= {x, y}
     # A pair without a distance-2 end is left to two singles.
     lines = [((x, y) if y in n2 else (y, x), 1)
-             for x, y in sorted({(min(p), max(p)) for p in pairs})
-             if x in n2 or y in n2]
+             for x, y in pairs if x in n2 or y in n2]
     paired = {v for line, _ in lines for v in line}
     if not n2 <= paired:
         raise ValueError(f"vertex {min(n2 - paired)} in N_2({r}) is not matched")

@@ -3,10 +3,12 @@ and `FAMILIES`, the table that names them."""
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import accumulate, combinations
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .graphs import CubeBoard, Graph, Plan, stack_parts
+from .graphs import PLAN_TYPECODE, CubeBoard, Graph, Plan, stack_parts
 
 
 class FamilyError(ValueError):
@@ -207,19 +209,26 @@ def _plan_grid(p: Sequence[int], r: int) -> Plan:
     return plan_grid(m, k, (r % m, r // m))
 
 
-def _plan_cube(p: Sequence[int], r: int) -> Optional[Plan]:
-    """The hypercube plan onto vertex 0; None when it is incomplete."""
-    if r != 0:
-        raise FamilyError("cube plans stack onto vertex 0")
+def _plan_cube(p: Sequence[int], r: int) -> Plan:
+    """The hypercube plan onto vertex 0 mapped onto r by v -> v ^ r, an
+    automorphism of Q^d: one XOR of the packed entries, read as a single
+    int, with r in every lane."""
     from .cube import plan_cube
-    res = plan_cube(p[0])
-    return res.plan if res.complete else None
+    plan = plan_cube(p[0]).plan
+    if not 0 <= r < plan.n:
+        raise FamilyError("target out of range")
+    if not r:
+        return plan
+    lanes = array(PLAN_TYPECODE, (r,)).tobytes() * len(plan.flat)
+    flat = (int.from_bytes(plan.flat, sys.byteorder)
+            ^ int.from_bytes(lanes, sys.byteorder)).to_bytes(len(lanes), sys.byteorder)
+    return Plan(plan.n, r, array(PLAN_TYPECODE, flat))
 
 
 class Family(NamedTuple):
     count: Optional[int]                # number of parameters; None: any
     generate: Callable[..., Graph]      # called with the parameters
-    plan: Optional[Callable[[Sequence[int], int], Optional[Plan]]]
+    plan: Optional[Callable[[Sequence[int], int], Plan]]
 
 
 # The one family dispatch, read by `gen` and `plan --family`.  A family

@@ -226,7 +226,7 @@ def chain_pred(n: int, mask: int):
 
 
 def test_acceptance_5_cube_machinery():
-    """Chain/Gray invariants, cube plans to d=19, and the d=20 gap."""
+    """Chain/Gray invariants and cube plans to d=20."""
     t0 = time.time()
     bad = []
     for n in range(0, 17):
@@ -276,32 +276,20 @@ def test_acceptance_5_cube_machinery():
     if t_ext >= 600:
         bad.append("d<=19 runtime")
 
-    # The known construction gap at d = 20: level-9 3-cubes whose chain is
-    # only {level 8, level 9} have no third cube.  Everything else of the
-    # plan must replay with those 3-cubes left empty.
+    # d = 20 is complete too: the level-9 3-cubes whose chain is only
+    # {level 8, level 9} borrow a level-7 third cube.
+    t0 = time.time()
     res = plan_cube(20)
-    n = 17
-    if res.complete or {m.bit_count() for m in res.unassigned} != {9}:
-        bad.append("plan_cube(20) gap is not exactly level 9")
-    counts = [1] * (1 << 20)
-    for m in res.unassigned:
-        if chain_pred(n, phi(n, m)) is not None:
-            bad.append(f"plan_cube(20) left {m:#x}, whose chain goes below level 8")
-            break
-        for rel in range(8):
-            counts[m | rel << n] = 0
-    holed = Plan(res.plan.n, res.plan.target, res.plan.flat,
-                 Configuration(tuple(counts)))
-    if not verify_plan(CubeBoard(20), holed):
-        bad.append("plan_cube(20) outside the gap")
+    if not (res.complete and len(res.plan.flat) == 2 * ((1 << 20) - 1)
+            and verify_plan(CubeBoard(20), res.plan)):
+        bad.append("plan_cube(20)")
+    t_20 = time.time() - t0
 
     ok = not bad
     report(f"ACCEPTANCE 5 cube machinery: {'PASS' if ok else 'FAIL'} — "
            f"invariants n<=16 & m<=12 ({t_inv:.1f}s), d<=14 verified "
-           f"({t_base:.1f}s), d<=19 verified ({t_ext:.1f}s); "
-           f"d=20: incomplete, {len(res.unassigned)} level-9 labels "
-           f"unassigned (their chains are only levels 8 and 9), the rest "
-           f"verified" + (f"; failures: {bad[:3]}" if bad else ""))
+           f"({t_base:.1f}s), d<=19 verified ({t_ext:.1f}s), d=20 complete "
+           f"and verified ({t_20:.1f}s)" + (f"; failures: {bad[:3]}" if bad else ""))
     assert not bad
 
 

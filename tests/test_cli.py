@@ -209,6 +209,12 @@ def test_plan_refuses_graph_and_family_together(capsys):
     (["plan", "--family", "cycle", "--params", "2", "-r", "5"], None, 2, None,
      "error: cycle needs n >= 3\n"),
     (["gen", "star", "0"], None, 2, None, "error: star needs m >= 1\n"),
+    (["plan", "--family", "cube", "--params", "5", "-r", "32"], None, 2, None,
+     "error: target out of range\n"),
+    (["plan", "--family", "cube", "--params", "5", "-r", "-1"], None, 2, None,
+     "error: target out of range\n"),
+    (["plan", "--family", "cube", "--params", "21"], None, 2, None,
+     "error: plans are only constructed for 0 <= d <= 20\n"),
 ])
 def test_exit_paths(tmp_path, capsys, argv, text, code, out, err):
     # Fixture names resolve under fixtures/; FILE is `text` written out.
@@ -315,27 +321,24 @@ def test_plan_family_cube_round_trip(tmp_path, capsys):
     assert code == 0 and data["accepted"] is True
 
 
-def make_cube_plans_incomplete(monkeypatch):
+@pytest.mark.parametrize("t", [1, 5, 18, 31])
+def test_plan_family_cube_any_target(tmp_path, capsys, t):
+    out = tmp_path / "q5.json"
+    code, data, _ = run(capsys, "plan", "--family", "cube", "--params", "5",
+                        "-r", str(t), "-o", str(out))
+    assert code == 0 and data == {"target": t, "moves": 31, "output": str(out)}
+    code, data, _ = run(capsys, "verify", "--cube", "5", "-p", str(out))
+    assert code == 0 and data["accepted"] is True
+
+
+def test_cube_incomplete_writes_no_plan_file(tmp_path, capsys, monkeypatch):
+    # Every plan_cube result is complete; while `cupstack cube` still
+    # reads the field, a result marked incomplete writes no plan file.
     real = cube.plan_cube(5)
     incomplete = cube.CubePlanResult(
         5, graphs.Plan(real.plan.n, 0, real.plan.flat[:-2]), False, (0b11,),
         real.phase_moves)
     monkeypatch.setattr(cube, "plan_cube", lambda d: incomplete)
-
-
-def test_plan_family_cube_incomplete_is_no(tmp_path, capsys, monkeypatch):
-    # An incomplete cube plan is not a YES: exit 1, and no plan file that
-    # the verifier would reject.
-    make_cube_plans_incomplete(monkeypatch)
-    out = tmp_path / "q5.json"
-    code, data, _ = run(capsys, "plan", "--family", "cube", "--params", "5",
-                        "-o", str(out))
-    assert code == 1 and data["complete"] is False and data["plan"] is None
-    assert not out.exists()
-
-
-def test_cube_incomplete_writes_no_plan_file(tmp_path, capsys, monkeypatch):
-    make_cube_plans_incomplete(monkeypatch)
     out = tmp_path / "q5.json"
     code, data, _ = run(capsys, "cube", "-d", "5", "-o", str(out))
     assert code == 1 and data["complete"] is False and "output" not in data
@@ -420,8 +423,7 @@ def test_verify_rejects_huge_plan_n_before_building_it(tmp_path, capsys):
                                   "reason": "initial configuration size mismatch"}
 
 
-@pytest.mark.parametrize("name, params", [("spider", ["1", "2"]),
-                                          ("cube", ["3"])])
+@pytest.mark.parametrize("name, params", [("spider", ["1", "2"])])
 def test_root_only_planners_reject_other_targets(tmp_path, capsys, name,
                                                  params):
     out = tmp_path / "plan.json"

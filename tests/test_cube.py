@@ -6,12 +6,13 @@ import json
 import random
 import tracemalloc
 from array import array
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from conftest import pairs, phi, scd
-from cupstack import cube
+from cupstack import cube, families
 from cupstack.graphs import PLAN_TYPECODE, Configuration, CubeBoard, Plan, verify_plan
 from cupstack.oracle import oracle_search
 from cupstack.cube import (CubeError, _abc_flat, _emit, _LEVEL3_4CUBE_FLAT,
@@ -512,6 +513,14 @@ def test_plan_cube_rejects_out_of_range():
         plan_cube(21)
 
 
+def test_plan_cube_d20_complete_onto_any_target():
+    # The whole of Q^20, 2^20 - 1 moves, mapped onto the all-ones vertex.
+    t = (1 << 20) - 1
+    plan = families.FAMILIES["cube"].plan((20,), t)
+    assert plan.target == t and len(plan.flat) == 2 * t
+    assert verify_plan(CubeBoard(20), plan)
+
+
 def test_plan_cube_deterministic():
     assert plan_cube(9).plan.flat == plan_cube(9).plan.flat
 
@@ -559,6 +568,53 @@ def test_plan_cube_does_not_memoize_a_failed_split(monkeypatch):
     assert result.complete and verify_plan(CubeBoard(9), result.plan)
 
 
+def _borrow_pool(free7):
+    # Labels of 4 bits, all taken but b = 0b0011 and 0b1010 (code 8) and
+    # the level-7 codes in free7.
+    pool = bytearray([cube._GONE]) * 16
+    pool[0b0011] = pool[0b1010] = 8
+    for c in free7:
+        pool[c] = 7
+    return pool, array(PLAN_TYPECODE, (0b0111, 0b0011, 0b1110, 0b1010))
+
+
+def test_borrow_level7_augments_a_taken_cube():
+    # 0b0011 comes first and takes 0b0010, the only cube left for 0b1010:
+    # the augmenting path moves 0b0011 on to 0b0001.
+    pool, lonely = _borrow_pool((0b0010, 0b0001))
+    abc = cube._borrow_level7(pool, lonely)
+    assert list(abc) == [0b0111, 0b0011, 0b0001, 0b1110, 0b1010, 0b0010]
+    assert set(pool) == {cube._GONE}
+
+
+def test_borrow_level7_reports_a_missing_cube():
+    pool, lonely = _borrow_pool((0b0010,))
+    with pytest.raises(CubeError, match="no level-7 cube left for level-9 label 14"):
+        cube._borrow_level7(pool, lonely)
+
+
+def test_split_work_runs_once_per_d(monkeypatch):
+    # Borrowing level-7 cubes happens at d = 20 alone, and the chain tables
+    # and the borrowing are split work: a repeat plan_cube call runs
+    # neither.
+    calls = Counter()
+    for name in ("_borrow_level7", "_phi_tables"):
+        def counted(*args, _name=name, _real=getattr(cube, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(cube, name, counted)
+    cube._split.cache_clear()
+    for d in range(20):
+        plan_cube(d)
+    assert calls == {"_phi_tables": 12}           # d = 8..19
+    plan_cube(20)
+    assert calls == {"_phi_tables": 13, "_borrow_level7": 1}
+    calls.clear()
+    for d in range(21):
+        plan_cube(d)
+    assert not calls
+
+
 # Built once per d for the pin tests below.
 _pinned_result = functools.cache(plan_cube)
 
@@ -581,7 +637,7 @@ def test_plan_cube_sequence_pinned(d, digest):
 
 
 # SHA-256 of plan_cube(d).plan.to_json() for d = 0..20, the plan file
-# `cupstack cube -d D -o` writes (d = 20's plan is the incomplete one).
+# `cupstack cube -d D -o` writes.
 PLAN_FILE_DIGESTS = (
     "464d675ae35ba37de4fdb2a98ca2245b3358ee9bcac6ccc77c3e5c0f95884f3b",
     "902fc448417024ed8d067e728bc33c80927e3eb2e12c02da5c1632ca9ef920f7",
@@ -603,7 +659,7 @@ PLAN_FILE_DIGESTS = (
     "620c85f52c8b4fa5597611a5adb739cba0d7a977ea8b6cb86841fba850fc65f9",
     "7b64e2b6b67b571fc3b6bc78fc95784dc1684a0219d5de6c2a1087ca5dbf578c",
     "e09971390e09de722971aeb6bf69b1e0581cd1275a72b1ff637da39d4e1051ef",
-    "978421ca815a086b72b4f0bb38e25d9f5af0f6758883a6d58920d43a29eaf3c9",
+    "1d03e031353596a201b798309cf922a7d2665edc8306ef10a28d58a576627084",
 )
 
 
@@ -638,4 +694,4 @@ def test_plan_cube_result_fields_pinned():
     rows = [[d, res.complete, list(res.unassigned), sorted(res.phase_moves.items())]
             for d, res in ((d, _pinned_result(d)) for d in range(21))]
     assert (hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-            == "14d5813fbd208953a074411b67d71002e839aaacb9541377f0f467d385f1ab17")
+            == "04afe565561cc7724afbd81288ce149c76533df617f9c54a5ba4303ba45764ac")

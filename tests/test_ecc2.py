@@ -77,6 +77,21 @@ def test_plan_from_matching_rejects_unsaturated():
         plan_from_matching(g, 0, [])
 
 
+@pytest.mark.parametrize("matched, reason", [
+    # (1, 7) is not an edge: the pairs came back as a plan that moved
+    # vertex 1 twice, which the verifier rejected at move 0.
+    ([(1, 7), (2, 4), (3, 5), (6, 8), (9, 1)], r"pair \(1, 7\) is not an edge of G - 0"),
+    ([(1, 5), (2, 4), (9, 1)], r"pair \(1, 9\) shares a vertex with another pair"),
+    ([(0, 7)], r"pair \(0, 7\) is not an edge of G - 0"),
+    ([(3, 3)], r"pair \(3, 3\) is not an edge of G - 0"),
+    ([(-1, 5)], r"pair \(-1, 5\) is not an edge of G - 0"),
+    ([(5, 10)], r"pair \(5, 10\) is not an edge of G - 0"),
+])
+def test_plan_from_matching_rejects_non_matchings(matched, reason):
+    with pytest.raises(ValueError, match=reason):
+        plan_from_matching(petersen_graph(), 0, matched)
+
+
 def test_petersen_plan_accepted():
     g = petersen_graph()
     for r in range(g.n):
